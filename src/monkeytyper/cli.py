@@ -192,7 +192,11 @@ def _parse_float_list(text: str) -> list[float]:
 def cmd_project(args) -> int:
     if args.measurements is not None:
         csv_text = Path(args.measurements).read_text()
-        _, attempts_base, times_base = read_measurement_csv(csv_text)
+        lengths, attempts_base, times_base = read_measurement_csv(csv_text)
+        if lengths != list(range(1, len(lengths) + 1)):
+            raise ValueError(
+                f"{args.measurements}: prefix lengths must be exactly 1..k, got {lengths}"
+            )
         source = str(args.measurements)
     else:
         attempts_base = _parse_float_list(args.attempts)

@@ -14,6 +14,17 @@ trial is therefore a pure function of its stream key, no matter the internal
 batch size or how many workers run concurrently. (A regression test pins
 this partition-invariance.) Wall-clock times are measured with a monotonic
 clock and are explicitly outside the determinism guarantee.
+
+Match step
+----------
+A batch of ``rows`` candidates is drawn as one flat array of
+``rows * prefix_length`` symbols. The match tests column 0 of every row with
+one strided compare, then checks the remaining columns only on the rows that
+survive, about ``1/A`` of them per column for an alphabet of size ``A``. The
+first surviving row is the first full match. The filter decides which
+symbols are compared, never which are drawn: the batches and draws are
+those a full-row match uses, so every attempt count and trial seed, and the
+determinism contract above, are unchanged by it.
 """
 
 from __future__ import annotations
@@ -88,6 +99,21 @@ def _batch_rows(alphabet_size: int, prefix_length: int) -> int:
     return max(_MIN_BATCH, 2 * expected)
 
 
+def _draw_and_match(
+    rng: RngStream, prefix_codes: np.ndarray, bound: int, rows: int
+) -> int:
+    """Draw ``rows`` candidates; return the index of the first one equal to
+    ``prefix_codes`` (filter-first, see the module docstring), or -1."""
+    n = len(prefix_codes)
+    codes = rng.draw_codes(rows * n, bound)
+    survivors = np.flatnonzero(codes[::n] == prefix_codes[0])
+    for column in range(1, n):
+        if not survivors.size:
+            break
+        survivors = survivors[codes[survivors * n + column] == prefix_codes[column]]
+    return int(survivors[0]) if survivors.size else -1
+
+
 def run_prefix_trial(
     target: TargetText,
     prefix_length: int,
@@ -101,6 +127,10 @@ def run_prefix_trial(
     included) and the wall-clock seconds the loop took. If ``budget``
     attempts pass without a match the record comes back with
     ``completed=False`` and the attempt count so far.
+
+    Each batch is matched filter-first: column 0 of every candidate, then
+    the later columns only on the candidates still matching. The draws are
+    those of a full-row match, so the determinism contract is unchanged.
     """
     if not 1 <= prefix_length <= target.length:
         raise ValueError(
@@ -119,11 +149,9 @@ def run_prefix_trial(
     start = time.perf_counter()
     while True:
         rows = batch if budget is None else min(batch, budget - attempts)
-        codes = rng.draw_codes(rows * prefix_length, alphabet.size)
-        matches = np.all(codes.reshape(rows, prefix_length) == prefix_codes, axis=1)
-        hits = np.flatnonzero(matches)
-        if hits.size:
-            attempts += int(hits[0]) + 1
+        hit = _draw_and_match(rng, prefix_codes, alphabet.size, rows)
+        if hit >= 0:
+            attempts += hit + 1
             elapsed = time.perf_counter() - start
             return TrialRecord(prefix_length, attempts, elapsed, rng.seed, True)
         attempts += rows
@@ -221,9 +249,10 @@ def measure_throughput(
 ) -> float:
     """Candidate generations per second for this alphabet and length.
 
-    Generates and compares candidates against a fixed prefix for roughly
-    ``duration_seconds`` (or for exactly ``workload`` candidates when given)
-    and returns count / elapsed. This is the preferred way to turn projected
+    Generates and compares candidates against a fixed prefix, through the
+    trial kernel's draw-and-match step, for roughly ``duration_seconds`` (or
+    for exactly ``workload`` candidates when given) and returns
+    count / elapsed. This is the preferred way to turn projected
     attempt counts into projected durations: it sidesteps the noisy per-trial
     wall clocks.
     """
@@ -241,8 +270,7 @@ def measure_throughput(
     start = time.perf_counter()
     while True:
         rows = batch if workload is None else min(batch, workload - generated)
-        codes = stream.draw_codes(rows * length, alphabet.size)
-        np.all(codes.reshape(rows, length) == reference, axis=1).any()
+        _draw_and_match(stream, reference, alphabet.size, rows)
         generated += rows
         elapsed = time.perf_counter() - start
         if workload is not None:

@@ -138,6 +138,18 @@ class TestProject:
         rows = json.loads(read(tmp_path / "proj", "projection.json"))
         assert len(rows) == 4
 
+    def test_measurements_must_start_at_prefix_one(self, tmp_path, capsys):
+        # prefixes 3..5 once projected as if they were 1..3
+        rows = ["test,prefix_len,attempts,elapsed_seconds,seed"]
+        rows += [f"average,{n},{53.0**n},{0.001 * 53**n}," for n in (3, 4, 5)]
+        csv_path = tmp_path / "measurements.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        code = run(["project", "--measurements", csv_path, "--out", tmp_path / "proj"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "prefix lengths" in err and "[3, 4, 5]" in err
+        assert not (tmp_path / "proj" / "projection.json").exists()
+
     def test_requires_two_base_points(self, tmp_path, capsys):
         code = run(["project", "--attempts", "60", "--times", "0.1", "--out", tmp_path])
         assert code != 0

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from monkeytyper import (
@@ -18,6 +20,7 @@ from monkeytyper import (
     run_experiment,
     run_prefix_trial,
 )
+from monkeytyper.simulate import _batch_rows
 
 AB = Alphabet("ab")
 
@@ -146,6 +149,56 @@ class TestRunPrefixTrial:
         )
         expectation = size**n
         assert abs(mean - expectation) <= 3 * expectation / trials**0.5
+
+
+def full_row_trial(target, n, alphabet, rng, budget):
+    """The full-row match every candidate once went through: the reference
+    the filter-first kernel must agree with, draw for draw."""
+    prefix = alphabet.encode(target.text[:n])
+    batch = _batch_rows(alphabet.size, n)
+    attempts = 0
+    while True:
+        rows = batch if budget is None else min(batch, budget - attempts)
+        codes = rng.draw_codes(rows * n, alphabet.size)
+        hits = np.flatnonzero(np.all(codes.reshape(rows, n) == prefix, axis=1))
+        if hits.size:
+            return attempts + int(hits[0]) + 1, True, rng.seed
+        attempts += rows
+        if budget is not None and attempts >= budget:
+            return attempts, False, rng.seed
+
+
+class TestFilterFirstMatch:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.integers(1, 6),
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**64 - 1),
+        budget=st.one_of(
+            st.none(), st.sampled_from([1, 63, 64, 65]), st.integers(1, 10**6)
+        ),
+    )
+    def test_agrees_with_full_row_match(self, data, size, n, seed, budget):
+        alphabet = Alphabet("abcdef"[:size])
+        text = data.draw(st.text(alphabet=alphabet.symbols, min_size=n, max_size=n))
+        target = TargetText(text)
+        rec = run_prefix_trial(target, n, alphabet, RngStream(seed), budget)
+        expected = full_row_trial(target, n, alphabet, RngStream(seed), budget)
+        assert (rec.attempts, rec.completed, rec.seed) == expected
+
+    def test_candidate_matching_all_but_the_last_column_is_rejected(self):
+        # the first candidate of the stream agrees with the target on every
+        # column except the last, so it survives the column-0 filter and must
+        # fail the survivor check
+        alphabet = Alphabet("abc")
+        first = RngStream(3).draw_codes(4, alphabet.size)
+        last = (int(first[3]) + 1) % alphabet.size
+        target = TargetText(alphabet.decode([*first[:3], last]))
+        rec = run_prefix_trial(target, 4, alphabet, RngStream(3), budget=None)
+        expected = full_row_trial(target, 4, alphabet, RngStream(3), None)
+        assert rec.attempts > 1
+        assert (rec.attempts, rec.completed, rec.seed) == expected
 
 
 class TestRunExperiment:
