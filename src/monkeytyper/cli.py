@@ -35,7 +35,13 @@ from .model import (
     read_measurement_csv,
 )
 from .scaled import ScaledDecimal
-from .simulate import DEFAULT_ATTEMPT_BUDGET, ExperimentConfig, measure_throughput, run_experiment
+from .simulate import (
+    DEFAULT_ATTEMPT_BUDGET,
+    STREAM_VERSION,
+    ExperimentConfig,
+    measure_throughput,
+    run_experiment,
+)
 
 SUMMARY_DIGITS = 3  # headline values match the published 3-significant-figure style
 
@@ -164,6 +170,7 @@ def cmd_simulate(args) -> int:
             "workers": args.workers,
             "no_timing": args.no_timing,
             "extend_alphabet": args.extend_alphabet,
+            "stream_version": STREAM_VERSION,
         },
     )
     csv_text = table.to_csv(include_timing=not args.no_timing)
@@ -310,6 +317,7 @@ def cmd_report(args) -> int:
         times_base = [float(v) for v in published["seconds"]]
         summary.append("base data: published per-prefix averages (ten trials, prefixes 1..5)")
     else:
+        manifest.config["stream_version"] = STREAM_VERSION
         config = ExperimentConfig(
             target=TargetText(args.target),
             alphabet=alphabet,

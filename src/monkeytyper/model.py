@@ -125,7 +125,9 @@ class TrialRecord:
     ``seed`` is the derived 64-bit value that reproduces this trial's
     character stream on its own. ``completed`` is False when the trial hit
     its attempt budget before matching; ``attempts`` then holds the count
-    so far.
+    so far. ``stream_version`` names the candidate stream that produced
+    ``attempts`` (``simulate.STREAM_VERSION``); it is None for records not
+    made by the trial kernel, and is not part of the CSV schema.
     """
 
     prefix_length: int
@@ -133,6 +135,7 @@ class TrialRecord:
     elapsed_seconds: float
     seed: int
     completed: bool = True
+    stream_version: int | None = None
 
     def __post_init__(self):
         if self.prefix_length < 1:

@@ -4,27 +4,29 @@ A trial repeatedly generates fresh fixed-length candidate strings until one
 equals the target prefix (restart semantics: no characters are reused between
 candidates). Attempts are counted exactly, including the successful candidate.
 
-Determinism contract
---------------------
-Symbol indices are drawn as bounded uint32 values from a PCG64 stream keyed
-by ``(seed, stream_id)``. Bounded uint32 generation consumes the underlying
-bit stream one value at a time, so the sequence of drawn symbols does not
-depend on how draws are partitioned into batches; the attempt count of a
-trial is therefore a pure function of its stream key, no matter the internal
-batch size or how many workers run concurrently. (A regression test pins
-this partition-invariance.) Wall-clock times are measured with a monotonic
-clock and are explicitly outside the determinism guarantee.
+Determinism contract (stream version 2)
+---------------------------------------
+Each candidate of length ``n`` over an alphabet of size ``A`` is one uniform
+integer in ``[0, A^n)``, drawn as a bounded uint64 from a PCG64 stream keyed
+by ``(seed, stream_id)``; the candidate string is that integer's ``n``
+big-endian base-``A`` digits. It matches when the integer equals the prefix's
+key ``sum(code_i * A^(n-1-i))``. Bounds up to ``2^32`` take numpy's
+buffered 32-bit path and larger ones its 64-bit path; on both, the drawn
+sequence does not depend on how draws are partitioned into batches, so the
+attempt count of a trial is a pure function of its stream key, no matter the
+internal batch size or how many workers run concurrently. (Regression tests
+pin this partition invariance at a 32-bit and a 64-bit bound.) A key must
+fit in a uint64, so ``A^n`` may be at most ``2^64``; larger candidate spaces
+are rejected up front, since such a trial expects at least ``1.8e19``
+attempts and could never finish.
 
-Match step
-----------
-A batch of ``rows`` candidates is drawn as one flat array of
-``rows * prefix_length`` symbols. The match tests column 0 of every row with
-one strided compare, then checks the remaining columns only on the rows that
-survive, about ``1/A`` of them per column for an alphabet of size ``A``. The
-first surviving row is the first full match. The filter decides which
-symbols are compared, never which are drawn: the batches and draws are
-those a full-row match uses, so every attempt count and trial seed, and the
-determinism contract above, are unchanged by it.
+Stream version 1 drew ``n`` symbols per candidate; manifests written under
+it reproduce only under version 1. ``generate_candidate`` still draws one
+symbol at a time, bounded by ``A``, and its strings are those of version 1.
+``STREAM_VERSION`` names the current stream; each ``TrialRecord`` and every
+manifest of a command that simulates record it.
+Wall-clock times are measured with a monotonic clock and are explicitly
+outside the determinism guarantee.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from .model import Alphabet, AlphabetMismatchError, MeasurementTable, TargetText
 
 _MIN_BATCH = 64
 _MAX_BATCH = 1 << 16
+
+#: Version of the candidate stream described in the module docstring.
+STREAM_VERSION = 2
 
 #: Default per-trial attempt cap; keeps prefix lengths >= 6 from running
 #: effectively forever while still being far above any measured mean here.
@@ -67,8 +72,8 @@ class RngStream:
         self._generator = np.random.Generator(np.random.PCG64(sequence))
 
     def draw_codes(self, count: int, bound: int) -> np.ndarray:
-        """Draw ``count`` uniform symbol indices in ``[0, bound)``."""
-        return self._generator.integers(0, bound, size=count, dtype=np.uint32)
+        """Draw ``count`` uniform integers in ``[0, bound)``, ``bound <= 2^64``."""
+        return self._generator.integers(0, bound, size=count, dtype=np.uint64)
 
 
 def derive_trial_seed(seed: int, iteration: int, prefix_length: int) -> int:
@@ -92,26 +97,41 @@ def generate_candidate(alphabet: Alphabet, length: int, rng: RngStream) -> str:
 
 def _batch_rows(alphabet_size: int, prefix_length: int) -> int:
     # Scale the batch to the expected waiting time so short waits do not
-    # over-draw; the drawn symbol sequence itself is batch-size invariant.
+    # over-draw; the drawn candidate sequence itself is batch-size invariant.
     expected = alphabet_size**prefix_length
     if expected >= _MAX_BATCH:
         return _MAX_BATCH
     return max(_MIN_BATCH, 2 * expected)
 
 
-def _draw_and_match(
-    rng: RngStream, prefix_codes: np.ndarray, bound: int, rows: int
-) -> int:
-    """Draw ``rows`` candidates; return the index of the first one equal to
-    ``prefix_codes`` (filter-first, see the module docstring), or -1."""
-    n = len(prefix_codes)
-    codes = rng.draw_codes(rows * n, bound)
-    survivors = np.flatnonzero(codes[::n] == prefix_codes[0])
-    for column in range(1, n):
-        if not survivors.size:
-            break
-        survivors = survivors[codes[survivors * n + column] == prefix_codes[column]]
-    return int(survivors[0]) if survivors.size else -1
+def _candidate_space(alphabet_size: int, length: int) -> int:
+    """``alphabet_size ** length``, the number of distinct candidates.
+
+    Raises ``ValueError`` above ``2^64``, where keys no longer fit in a
+    uint64 and a trial could never finish.
+    """
+    space = alphabet_size**length
+    if space > 2**64:
+        raise ValueError(
+            f"alphabet size {alphabet_size} to the power {length} exceeds 2^64 "
+            f"candidates; no trial of that length can finish"
+        )
+    return space
+
+
+def _key(codes: np.ndarray, alphabet_size: int) -> int:
+    """The integer whose big-endian base-``alphabet_size`` digits are ``codes``."""
+    key = 0
+    for code in codes:
+        key = key * alphabet_size + int(code)
+    return key
+
+
+def _draw_and_match(rng: RngStream, key: int, space: int, rows: int) -> int:
+    """Draw ``rows`` candidates from ``[0, space)``; return the index of the
+    first one equal to ``key``, or -1."""
+    hits = np.flatnonzero(rng.draw_codes(rows, space) == np.uint64(key))
+    return int(hits[0]) if hits.size else -1
 
 
 def run_prefix_trial(
@@ -126,11 +146,8 @@ def run_prefix_trial(
     Returns the exact number of candidates generated (the successful one
     included) and the wall-clock seconds the loop took. If ``budget``
     attempts pass without a match the record comes back with
-    ``completed=False`` and the attempt count so far.
-
-    Each batch is matched filter-first: column 0 of every candidate, then
-    the later columns only on the candidates still matching. The draws are
-    those of a full-row match, so the determinism contract is unchanged.
+    ``completed=False`` and the attempt count so far. Raises ``ValueError``
+    when ``alphabet.size ** prefix_length`` exceeds ``2^64``.
     """
     if not 1 <= prefix_length <= target.length:
         raise ValueError(
@@ -143,21 +160,21 @@ def run_prefix_trial(
     if missing:
         raise AlphabetMismatchError(missing, context=f"target prefix {prefix!r}")
 
-    prefix_codes = alphabet.encode(prefix)
+    space = _candidate_space(alphabet.size, prefix_length)
+    key = _key(alphabet.encode(prefix), alphabet.size)
     batch = _batch_rows(alphabet.size, prefix_length)
     attempts = 0
     start = time.perf_counter()
     while True:
         rows = batch if budget is None else min(batch, budget - attempts)
-        hit = _draw_and_match(rng, prefix_codes, alphabet.size, rows)
-        if hit >= 0:
-            attempts += hit + 1
+        hit = _draw_and_match(rng, key, space, rows)
+        completed = hit >= 0
+        attempts += hit + 1 if completed else rows
+        if completed or (budget is not None and attempts >= budget):
             elapsed = time.perf_counter() - start
-            return TrialRecord(prefix_length, attempts, elapsed, rng.seed, True)
-        attempts += rows
-        if budget is not None and attempts >= budget:
-            elapsed = time.perf_counter() - start
-            return TrialRecord(prefix_length, attempts, elapsed, rng.seed, False)
+            return TrialRecord(
+                prefix_length, attempts, elapsed, rng.seed, completed, STREAM_VERSION
+            )
 
 
 @dataclass(frozen=True)
@@ -209,9 +226,11 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
     Every trial draws from its own stream derived from
     ``(seed, iteration, prefix_length)``, and results are assembled in
     canonical order, so the attempts matrix is identical for any
-    ``worker_count`` and any scheduling of the trials.
+    ``worker_count`` and any scheduling of the trials. A longest prefix
+    whose candidate space exceeds ``2^64`` is rejected before any trial.
     """
     alphabet = config.effective_alphabet()
+    _candidate_space(alphabet.size, config.max_prefix_length)
     prefix_lengths = list(range(1, config.max_prefix_length + 1))
     tasks = [
         (iteration, n)
@@ -263,14 +282,15 @@ def measure_throughput(
     if workload is not None and workload < 1:
         raise ValueError("workload must be >= 1")
 
-    reference = np.arange(length, dtype=np.uint32) % alphabet.size
+    space = _candidate_space(alphabet.size, length)
+    key = _key(np.arange(length) % alphabet.size, alphabet.size)
     stream = RngStream(seed)
     batch = _MAX_BATCH if workload is None else min(_MAX_BATCH, workload)
     generated = 0
     start = time.perf_counter()
     while True:
         rows = batch if workload is None else min(batch, workload - generated)
-        _draw_and_match(stream, reference, alphabet.size, rows)
+        _draw_and_match(stream, key, space, rows)
         generated += rows
         elapsed = time.perf_counter() - start
         if workload is not None:

@@ -44,6 +44,21 @@ class TestSimulate:
         for name in manifest["outputs"]:
             assert (tmp_path / name).exists()
 
+    def test_manifest_records_stream_version(self, tmp_path):
+        run(["simulate", "--target", "a", "--alphabet", "a", "--max-prefix", "1",
+             "--iterations", "1", "--out", tmp_path])
+        assert '"stream_version": 2' in read(tmp_path, "manifest.json")
+
+    def test_candidate_space_above_2_to_the_64_exits_2(self, tmp_path, capsys):
+        # 53^12 > 2^64: no trial can finish, so nothing runs or is written
+        code = run(
+            ["simulate", "--target", "To be or not", "--alphabet", "letters+space",
+             "--max-prefix", "12", "--budget", "5", "--out", tmp_path]
+        )
+        assert code == 2
+        assert "2^64" in capsys.readouterr().err
+        assert not (tmp_path / "measurements.csv").exists()
+
     def test_out_of_alphabet_character_named_in_diagnostic(self, tmp_path, capsys):
         code = run(
             ["simulate", "--alphabet", "letters+space", "--max-prefix", "8",
@@ -261,6 +276,15 @@ class TestReport:
         summary = read(tmp_path, "summary.txt")
         assert "fresh simulation, seed 21" in summary
         assert "measured throughput" in summary
+
+    def test_stream_version_recorded_only_when_simulating(self, tmp_path):
+        run(["report", "--use-paper-data", "--out", tmp_path / "paper"])
+        run(["report", "--target", "abab", "--alphabet", "ab", "--max-prefix", "2",
+             "--iterations", "2", "--out", tmp_path / "fresh"])
+        paper = json.loads(read(tmp_path / "paper", "manifest.json"))["config"]
+        fresh = json.loads(read(tmp_path / "fresh", "manifest.json"))["config"]
+        assert "stream_version" not in paper
+        assert fresh["stream_version"] == 2
 
     def test_fresh_default_alphabet_bundle_under_a_minute(self, tmp_path):
         # expected work is about 10 * (53 + 53^2 + 53^3) candidate generations

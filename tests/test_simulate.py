@@ -20,7 +20,8 @@ from monkeytyper import (
     run_experiment,
     run_prefix_trial,
 )
-from monkeytyper.simulate import _batch_rows
+from monkeytyper import simulate
+from monkeytyper.simulate import STREAM_VERSION, _batch_rows
 
 AB = Alphabet("ab")
 
@@ -45,6 +46,30 @@ class TestRngStream:
             [split_stream.draw_codes(k, 53) for k in (1, 7, 92, 1100)]
         )
         assert np.array_equal(whole, split)
+
+    @pytest.mark.parametrize("bound", [53**4, 53**6], ids=["32-bit", "64-bit"])
+    def test_candidate_draws_are_partition_invariant(self, bound):
+        # numpy draws bounds up to 2^32 from half-words, larger ones from
+        # whole words; odd split sizes leave a half-word over between calls
+        whole = RngStream(9, 3).draw_codes(1200, bound)
+        split_stream = RngStream(9, 3)
+        split = np.concatenate(
+            [split_stream.draw_codes(k, bound) for k in (1, 7, 93, 1099)]
+        )
+        assert np.array_equal(whole, split)
+
+    def test_decoded_candidate_digits_are_uniform(self):
+        # 10^5 candidates of length 4 over 53 symbols, drawn as the trial
+        # kernel draws them; each digit position against the chi-square
+        # critical value at significance 0.001 with 52 degrees of freedom
+        draws = 100_000
+        codes = RngStream(123).draw_codes(draws, 53**4)
+        expected = draws / 53
+        for position in range(4):
+            digits = codes // 53 ** (3 - position) % 53
+            counts = np.bincount(digits.astype(np.int64), minlength=53)
+            statistic = ((counts - expected) ** 2 / expected).sum()
+            assert statistic < stats.chi2.ppf(0.999, df=52), position
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,7 +128,7 @@ class TestRunPrefixTrial:
     def test_deterministic_given_stream_key(self):
         first = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=None)
         again = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=None)
-        assert first.attempts == again.attempts == 5
+        assert first.attempts == again.attempts == 4
 
     def test_out_of_alphabet_prefix_rejected_before_generation(self):
         with pytest.raises(AlphabetMismatchError, match="','"):
@@ -116,10 +141,21 @@ class TestRunPrefixTrial:
             run_prefix_trial(TargetText("ab"), 0, AB, RngStream(1))
 
     def test_budget_exhaustion_is_reported_not_raised(self):
-        # seed 0 needs 5 attempts unconstrained, so a budget of 2 must stop it
+        # seed 0 needs 4 attempts unconstrained, so a budget of 2 must stop it
         rec = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=2)
         assert rec.completed is False
         assert rec.attempts == 2
+
+    def test_records_carry_the_stream_version(self):
+        rec = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0))
+        assert rec.stream_version == STREAM_VERSION == 2
+
+    def test_candidate_space_is_capped_at_2_to_the_64(self):
+        # 2^64 candidates still fit a uint64 key; 2^65 cannot
+        rec = run_prefix_trial(TargetText("a" * 64), 64, AB, RngStream(1), budget=5)
+        assert (rec.attempts, rec.completed) == (5, False)
+        with pytest.raises(ValueError, match=r"alphabet size 2 .* 65 exceeds 2\^64"):
+            run_prefix_trial(TargetText("a" * 65), 65, AB, RngStream(1), budget=5)
 
     def test_budget_does_not_change_the_found_attempt_count(self):
         free = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=None)
@@ -151,24 +187,30 @@ class TestRunPrefixTrial:
         assert abs(mean - expectation) <= 3 * expectation / trials**0.5
 
 
-def full_row_trial(target, n, alphabet, rng, budget):
-    """The full-row match every candidate once went through: the reference
-    the filter-first kernel must agree with, draw for draw."""
-    prefix = alphabet.encode(target.text[:n])
-    batch = _batch_rows(alphabet.size, n)
+def decode_then_compare_trial(target, n, alphabet, rng, budget):
+    """Reference trial: decode every drawn integer into its n big-endian
+    base-A digits in plain Python and compare the string with the prefix.
+    The kernel must agree with it draw for draw."""
+    prefix = target.text[:n]
+    size = alphabet.size
+    batch = _batch_rows(size, n)
     attempts = 0
     while True:
         rows = batch if budget is None else min(batch, budget - attempts)
-        codes = rng.draw_codes(rows * n, alphabet.size)
-        hits = np.flatnonzero(np.all(codes.reshape(rows, n) == prefix, axis=1))
-        if hits.size:
-            return attempts + int(hits[0]) + 1, True, rng.seed
+        for row, value in enumerate(rng.draw_codes(rows, size**n)):
+            value = int(value)
+            digits = []
+            for _ in range(n):
+                value, digit = divmod(value, size)
+                digits.append(digit)
+            if alphabet.decode(reversed(digits)) == prefix:
+                return attempts + row + 1, True, rng.seed
         attempts += rows
         if budget is not None and attempts >= budget:
             return attempts, False, rng.seed
 
 
-class TestFilterFirstMatch:
+class TestIntegerCandidateMatch:
     @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
@@ -179,24 +221,26 @@ class TestFilterFirstMatch:
             st.none(), st.sampled_from([1, 63, 64, 65]), st.integers(1, 10**6)
         ),
     )
-    def test_agrees_with_full_row_match(self, data, size, n, seed, budget):
+    def test_agrees_with_decode_then_compare(self, data, size, n, seed, budget):
         alphabet = Alphabet("abcdef"[:size])
         text = data.draw(st.text(alphabet=alphabet.symbols, min_size=n, max_size=n))
         target = TargetText(text)
         rec = run_prefix_trial(target, n, alphabet, RngStream(seed), budget)
-        expected = full_row_trial(target, n, alphabet, RngStream(seed), budget)
+        expected = decode_then_compare_trial(target, n, alphabet, RngStream(seed), budget)
         assert (rec.attempts, rec.completed, rec.seed) == expected
 
-    def test_candidate_matching_all_but_the_last_column_is_rejected(self):
-        # the first candidate of the stream agrees with the target on every
-        # column except the last, so it survives the column-0 filter and must
-        # fail the survivor check
+    def test_first_draw_off_in_the_last_digit_is_rejected(self):
+        # the stream's first integer decodes to the target in every digit but
+        # the last (the least significant): a kernel that ignores that digit
+        # accepts it, and one that reverses the digit order disagrees with
+        # the reference on the attempt count
         alphabet = Alphabet("abc")
-        first = RngStream(3).draw_codes(4, alphabet.size)
-        last = (int(first[3]) + 1) % alphabet.size
-        target = TargetText(alphabet.decode([*first[:3], last]))
+        first = int(RngStream(3).draw_codes(1, 3**4)[0])
+        digits = [first // 3**k % 3 for k in (3, 2, 1, 0)]
+        digits[3] = (digits[3] + 1) % 3
+        target = TargetText(alphabet.decode(digits))
         rec = run_prefix_trial(target, 4, alphabet, RngStream(3), budget=None)
-        expected = full_row_trial(target, 4, alphabet, RngStream(3), None)
+        expected = decode_then_compare_trial(target, 4, alphabet, RngStream(3), None)
         assert rec.attempts > 1
         assert (rec.attempts, rec.completed, rec.seed) == expected
 
@@ -259,9 +303,22 @@ class TestRunExperiment:
 
     def test_budget_exhaustion_flags_cells_and_keeps_partials(self):
         table = run_experiment(self.config(attempt_budget=1))
-        assert table.incomplete_cells() == [(1, 2), (3, 2)]
+        assert table.incomplete_cells() == [(1, 2), (2, 2), (3, 2)]
         for iteration, n in table.incomplete_cells():
             assert table.trials[iteration - 1][n - 1].attempts == 1
+
+    def test_candidate_space_above_2_to_the_64_fails_before_any_trial(
+        self, monkeypatch
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(simulate, "run_prefix_trial", no_trial)
+        cfg = self.config(
+            target=TargetText("a" * 65), max_prefix_length=65, attempt_budget=1
+        )
+        with pytest.raises(ValueError, match=r"2\^64"):
+            run_experiment(cfg)
 
     def test_trial_seed_alone_reproduces_a_cell(self):
         table = run_experiment(self.config())
@@ -307,16 +364,25 @@ class TestMeasureThroughput:
         rate = measure_throughput(AB, 2, workload=50_000)
         assert rate > 0
 
-    def test_longer_candidates_are_slower(self):
-        fast = max(
-            measure_throughput(LETTERS_AND_SPACE, 1, duration_seconds=0.05, seed=s)
-            for s in range(3)
-        )
-        slow = max(
-            measure_throughput(LETTERS_AND_SPACE, 5, duration_seconds=0.05, seed=s)
-            for s in range(3)
-        )
-        assert slow < fast
+    def test_draws_one_integer_per_candidate(self, monkeypatch):
+        # a candidate of length 5 is one draw in [0, 53^5), so the cost per
+        # candidate no longer grows with its length
+        draws = []
+        draw_codes = RngStream.draw_codes
+
+        def recorded(rng, count, bound):
+            draws.append((count, bound))
+            return draw_codes(rng, count, bound)
+
+        monkeypatch.setattr(RngStream, "draw_codes", recorded)
+        measure_throughput(LETTERS_AND_SPACE, 5, workload=100_000)
+        assert sum(count for count, _ in draws) == 100_000
+        assert {bound for _, bound in draws} == {53**5}
+
+    def test_candidate_space_above_2_to_the_64_is_rejected(self):
+        measure_throughput(AB, 64, workload=10)
+        with pytest.raises(ValueError, match=r"2\^64"):
+            measure_throughput(AB, 65, workload=10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
