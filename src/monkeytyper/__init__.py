@@ -39,12 +39,11 @@ from .model import (
     TrialRecord,
     alphabet_preset,
 )
-from .scaled import ScaledDecimal, scaled_from_log10, scaled_int_pow, scaled_mul
+from .scaled import ScaledDecimal, scaled_from_log10, scaled_int_pow
 from .simulate import (
     ExperimentConfig,
     RngStream,
     derive_trial_seed,
-    generate_candidate,
     measure_throughput,
     run_experiment,
     run_prefix_trial,
@@ -76,7 +75,6 @@ __all__ = [
     "derive_trial_seed",
     "expected_attempts",
     "fit_growth_model",
-    "generate_candidate",
     "growth_factor",
     "hamlet_soliloquy",
     "log10_series",
@@ -87,6 +85,5 @@ __all__ = [
     "run_prefix_trial",
     "scaled_from_log10",
     "scaled_int_pow",
-    "scaled_mul",
     "success_probability",
 ]

@@ -29,6 +29,7 @@ from .analysis import (
 from .model import (
     Alphabet,
     GrowthModel,
+    MeasurementTable,
     ProjectionTable,
     TargetText,
     alphabet_preset,
@@ -143,8 +144,14 @@ def _emit_projection(
 # -- simulate ---------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    alphabet = _parse_alphabet(args.alphabet)
+def _manifest(command: str, args, **overrides) -> RunManifest:
+    """A manifest whose config is every parsed flag but ``--out``, plus ``overrides``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    return RunManifest(command=command, config={**config, **overrides})
+
+
+def _simulate(args, alphabet: Alphabet, out_dir: Path, manifest: RunManifest) -> MeasurementTable:
+    """Run the trial matrix the flags describe and write ``measurements.csv``."""
     config = ExperimentConfig(
         target=TargetText(args.target),
         alphabet=alphabet,
@@ -156,28 +163,20 @@ def cmd_simulate(args) -> int:
         auto_extend_alphabet=args.extend_alphabet,
     )
     table = run_experiment(config)
-
-    out_dir = Path(args.out)
-    manifest = RunManifest(
-        command="simulate",
-        config={
-            "target": args.target,
-            "alphabet": alphabet.symbols,
-            "max_prefix": args.max_prefix,
-            "iterations": args.iterations,
-            "seed": args.seed,
-            "budget": args.budget,
-            "workers": args.workers,
-            "no_timing": args.no_timing,
-            "extend_alphabet": args.extend_alphabet,
-            "stream_version": STREAM_VERSION,
-        },
-    )
+    manifest.config["stream_version"] = STREAM_VERSION
     csv_text = table.to_csv(include_timing=not args.no_timing)
     _write(out_dir, "measurements.csv", csv_text, manifest)
+    return table
+
+
+def cmd_simulate(args) -> int:
+    alphabet = _parse_alphabet(args.alphabet)
+    out_dir = Path(args.out)
+    manifest = _manifest("simulate", args, alphabet=alphabet.symbols)
+    table = _simulate(args, alphabet, out_dir, manifest)
     manifest.write(out_dir)
 
-    for line in csv_text.splitlines():
+    for line in (out_dir / "measurements.csv").read_text().splitlines():
         if line.startswith("test,") or line.startswith("average,"):
             print(line)
     incomplete = table.incomplete_cells()
@@ -246,10 +245,7 @@ def cmd_prob(args) -> int:
     print("\n".join(lines))
     if args.out is not None:
         out_dir = Path(args.out)
-        manifest = RunManifest(
-            command="prob",
-            config={"alphabet_size": args.alphabet_size, "length": args.length},
-        )
+        manifest = _manifest("prob", args)
         _write(out_dir, "prob.txt", "\n".join(lines) + "\n", manifest)
         manifest.write(out_dir)
     return 0
@@ -294,22 +290,7 @@ def cmd_report(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     summary: list[str] = []
 
-    manifest = RunManifest(
-        command="report",
-        config={
-            "target": args.target,
-            "alphabet": alphabet.symbols,
-            "use_paper_data": args.use_paper_data,
-            "max_prefix": args.max_prefix,
-            "iterations": args.iterations,
-            "seed": args.seed,
-            "budget": args.budget,
-            "workers": args.workers,
-            "no_timing": args.no_timing,
-            "paper_style": args.paper_style,
-            "extend_alphabet": args.extend_alphabet,
-        },
-    )
+    manifest = _manifest("report", args, alphabet=alphabet.symbols)
 
     if args.use_paper_data:
         published = data.published_averages()
@@ -317,24 +298,7 @@ def cmd_report(args) -> int:
         times_base = [float(v) for v in published["seconds"]]
         summary.append("base data: published per-prefix averages (ten trials, prefixes 1..5)")
     else:
-        manifest.config["stream_version"] = STREAM_VERSION
-        config = ExperimentConfig(
-            target=TargetText(args.target),
-            alphabet=alphabet,
-            max_prefix_length=args.max_prefix,
-            iterations=args.iterations,
-            seed=args.seed,
-            attempt_budget=args.budget,
-            worker_count=args.workers,
-            auto_extend_alphabet=args.extend_alphabet,
-        )
-        table = run_experiment(config)
-        _write(
-            out_dir,
-            "measurements.csv",
-            table.to_csv(include_timing=not args.no_timing),
-            manifest,
-        )
+        table = _simulate(args, alphabet, out_dir, manifest)
         attempts_base = list(table.attempts_averages)
         times_base = list(table.time_averages)
         summary.append(

@@ -108,15 +108,6 @@ class TargetText:
     def length(self) -> int:
         return len(self.text)
 
-    def prefix(self, n: int) -> str:
-        if not 1 <= n <= self.length:
-            raise ValueError(f"prefix length {n} outside 1..{self.length}")
-        return self.text[:n]
-
-    def is_valid_for(self, alphabet: Alphabet) -> bool:
-        """Whether every character of the text is a member of ``alphabet``."""
-        return not alphabet.missing_from(self.text)
-
 
 @dataclass(frozen=True)
 class TrialRecord:

@@ -1,10 +1,13 @@
-"""Base-10 scaled-decimal arithmetic for magnitudes far outside float range.
+"""Base-10 arithmetic for magnitudes far outside float range, on stdlib decimal.
 
-A :class:`ScaledDecimal` is a mantissa in ``[1, 10)`` (a :class:`~decimal.Decimal`
-carrying at least 30 significant digits) paired with an exact integer exponent.
-The representation covers everything this toolkit needs, from success
-probabilities near 10^-2609 up to attempt projections near 10^69, without the
-silent exponent saturation a float would suffer.
+A :class:`ScaledDecimal` wraps one nonnegative :class:`~decimal.Decimal`.
+Every operation runs in one module-level context: 36 significant digits and
+the widest exponent range the :mod:`decimal` module allows, so the decimal
+exponent stays an exact integer from success probabilities near 10^-2609 up
+to attempt projections near 10^69, without the silent exponent saturation a
+float would suffer. ``mantissa`` (in ``[1, 10)``) and ``exponent`` read a
+value back as ``mantissa * 10**exponent``; ``to_string`` prints it as
+``<mantissa>e<exponent>``.
 
 Only the arithmetic this domain needs is provided: construction from
 ``log10`` / ints / floats, multiplication, division, integer powers, and
@@ -13,140 +16,72 @@ Only the arithmetic this domain needs is provided: construction from
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal
 
 #: Working precision in significant decimal digits. The published tables carry
 #: 3-4 significant figures; 36 digits makes our own rounding error irrelevant.
 PRECISION = 36
 
-_PARSE_RE = re.compile(r"^(?P<mantissa>[0-9](?:\.[0-9]+)?)e(?P<exponent>[+-]?[0-9]+)$")
+_CTX = Context(prec=PRECISION, Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ScaledDecimal:
-    """An exact-exponent base-10 number: ``mantissa * 10**exponent``.
+    """A nonnegative finite decimal with an exact exponent.
 
-    Instances are immutable and safe to share between threads. The mantissa
-    is always in ``[1, 10)``; the single exception is the value zero, stored
-    as mantissa 0 with exponent 0.
+    Instances are immutable and safe to share between threads.
     """
 
-    mantissa: Decimal
-    exponent: int
+    value: Decimal
 
     def __post_init__(self):
-        if self.mantissa < 0:
+        if not self.value.is_finite():
+            raise ValueError(f"non-finite value {self.value!r}")
+        if self.value < 0:
             raise ValueError("negative values are not representable")
-        if self.mantissa == 0:
-            if self.exponent != 0:
-                raise ValueError("zero must carry exponent 0")
-        elif not (1 <= self.mantissa < 10):
-            raise ValueError(f"mantissa {self.mantissa} outside [1, 10)")
+
+    @property
+    def exponent(self) -> int:
+        """Position of the most significant digit; 0 for the value zero."""
+        return self.value.adjusted() if self.value else 0
+
+    @property
+    def mantissa(self) -> Decimal:
+        """The value scaled into ``[1, 10)``; 0 for the value zero."""
+        return _CTX.scaleb(self.value, -self.exponent)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ScaledDecimal":
-        return cls(Decimal(0), 0)
-
-    @classmethod
     def from_int(cls, value: int) -> "ScaledDecimal":
-        """Exact conversion from a (possibly huge) nonnegative integer."""
-        if value < 0:
-            raise ValueError("negative values are not representable")
-        if value == 0:
-            return cls.zero()
-        d = Decimal(value)
-        shift = d.adjusted()  # position of the most significant digit
-        with localcontext() as ctx:
-            ctx.prec = PRECISION
-            mantissa = +d.scaleb(-shift)
-        return _normalized(mantissa, shift)
+        """A (possibly huge) nonnegative integer, rounded to the working precision."""
+        return cls(_CTX.create_decimal(value))
 
     @classmethod
     def from_float(cls, value: float) -> "ScaledDecimal":
-        """Convert a nonnegative finite float (exact binary-to-decimal)."""
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {value!r}")
-        if value < 0:
-            raise ValueError("negative values are not representable")
-        if value == 0:
-            return cls.zero()
-        d = Decimal(value)
-        shift = d.adjusted()
-        with localcontext() as ctx:
-            ctx.prec = PRECISION
-            mantissa = +d.scaleb(-shift)
-        return _normalized(mantissa, shift)
-
-    @classmethod
-    def parse(cls, text: str) -> "ScaledDecimal":
-        """Parse the ``<mantissa>e<exponent>`` serialization."""
-        if text == "0":
-            return cls.zero()
-        m = _PARSE_RE.match(text.strip())
-        if m is None:
-            raise ValueError(f"not a scaled decimal: {text!r}")
-        return _normalized(Decimal(m.group("mantissa")), int(m.group("exponent")))
+        """A nonnegative finite float, converted exactly, then rounded."""
+        return cls(_CTX.create_decimal_from_float(value))
 
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other) -> "ScaledDecimal":
-        other = _coerce(other)
-        if self.mantissa == 0 or other.mantissa == 0:
-            return ScaledDecimal.zero()
-        with localcontext() as ctx:
-            ctx.prec = PRECISION
-            product = self.mantissa * other.mantissa
-        return _normalized(product, self.exponent + other.exponent)
+        return ScaledDecimal(_CTX.multiply(self.value, _coerce(other).value))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ScaledDecimal":
-        other = _coerce(other)
-        if other.mantissa == 0:
-            raise ZeroDivisionError("scaled decimal division by zero")
-        if self.mantissa == 0:
-            return ScaledDecimal.zero()
-        with localcontext() as ctx:
-            ctx.prec = PRECISION
-            quotient = self.mantissa / other.mantissa
-        return _normalized(quotient, self.exponent - other.exponent)
+        return ScaledDecimal(_CTX.divide(self.value, _coerce(other).value))
 
     def log10(self) -> float:
         """Base-10 logarithm as a float; the exponent part stays exact."""
-        if self.mantissa == 0:
+        if not self.value:
             raise ValueError("log10 of zero")
-        with localcontext() as ctx:
-            ctx.prec = PRECISION
-            frac = self.mantissa.log10()
-        return float(frac + self.exponent)
+        return float(_CTX.log10(self.mantissa) + self.exponent)
 
     def __float__(self) -> float:
         # Overflows to inf / underflows to 0.0 outside float range, by design.
-        return float(self.mantissa.scaleb(self.exponent))
-
-    # -- ordering (values are nonnegative by construction) ------------------
-
-    def _key(self):
-        if self.mantissa == 0:
-            return (float("-inf"), Decimal(0))
-        return (self.exponent, self.mantissa)
-
-    def __lt__(self, other) -> bool:
-        return self._key() < _coerce(other)._key()
-
-    def __le__(self, other) -> bool:
-        return self._key() <= _coerce(other)._key()
-
-    def __gt__(self, other) -> bool:
-        return self._key() > _coerce(other)._key()
-
-    def __ge__(self, other) -> bool:
-        return self._key() >= _coerce(other)._key()
+        return float(self.value)
 
     # -- formatting ---------------------------------------------------------
 
@@ -158,38 +93,12 @@ class ScaledDecimal:
         """
         if significant_digits < 1:
             raise ValueError("significant_digits must be >= 1")
-        if self.mantissa == 0:
+        if not self.value:
             return "0"
-        with localcontext() as ctx:
-            ctx.prec = PRECISION
-            quantum = Decimal(1).scaleb(1 - significant_digits)
-            rounded = self.mantissa.quantize(quantum)
-            exponent = self.exponent
-            if rounded >= 10:  # rounding can carry 9.99... up to 10
-                rounded = (rounded / 10).quantize(quantum)
-                exponent += 1
-        return f"{rounded}e{exponent}"
+        return format(self.value, f".{significant_digits - 1}e").replace("+", "")
 
     def __str__(self) -> str:
         return self.to_string()
-
-    def __format__(self, spec: str) -> str:
-        if spec == "":
-            return self.to_string()
-        return self.to_string(int(spec))
-
-
-def _normalized(mantissa: Decimal, exponent: int) -> ScaledDecimal:
-    """Renormalize a positive mantissa into [1, 10), carrying into the exponent."""
-    if mantissa == 0:
-        return ScaledDecimal.zero()
-    shift = mantissa.adjusted()
-    if shift != 0:
-        with localcontext() as ctx:
-            ctx.prec = PRECISION
-            mantissa = mantissa.scaleb(-shift)
-        exponent += shift
-    return ScaledDecimal(mantissa, exponent)
 
 
 def _coerce(value) -> ScaledDecimal:
@@ -204,19 +113,12 @@ def _coerce(value) -> ScaledDecimal:
 
 def scaled_from_log10(l: float) -> ScaledDecimal:
     """Return ``10**l`` with the fractional part resolved at full precision."""
-    if not math.isfinite(l):
-        raise ValueError(f"non-finite log10 value {l!r}")
     exact = Decimal(l)  # float-to-Decimal conversion is exact
-    whole = int(exact.to_integral_value(rounding="ROUND_FLOOR"))
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        mantissa = Decimal(10) ** (exact - whole)
-    return _normalized(mantissa, whole)
-
-
-def scaled_mul(a: ScaledDecimal, b: ScaledDecimal) -> ScaledDecimal:
-    """Product with the mantissa renormalized into [1, 10)."""
-    return a * b
+    if not exact.is_finite():
+        raise ValueError(f"non-finite log10 value {l!r}")
+    whole = exact.to_integral_value(rounding=ROUND_FLOOR)
+    mantissa = _CTX.power(10, _CTX.subtract(exact, whole))
+    return ScaledDecimal(_CTX.scaleb(mantissa, whole))
 
 
 def scaled_int_pow(base: int, exp: int) -> ScaledDecimal:

@@ -8,23 +8,22 @@ Determinism contract (stream version 2)
 ---------------------------------------
 Each candidate of length ``n`` over an alphabet of size ``A`` is one uniform
 integer in ``[0, A^n)``, drawn as a bounded uint64 from a PCG64 stream keyed
-by ``(seed, stream_id)``; the candidate string is that integer's ``n``
-big-endian base-``A`` digits. It matches when the integer equals the prefix's
-key ``sum(code_i * A^(n-1-i))``. Bounds up to ``2^32`` take numpy's
-buffered 32-bit path and larger ones its 64-bit path; on both, the drawn
-sequence does not depend on how draws are partitioned into batches, so the
-attempt count of a trial is a pure function of its stream key, no matter the
-internal batch size or how many workers run concurrently. (Regression tests
-pin this partition invariance at a 32-bit and a 64-bit bound.) A key must
-fit in a uint64, so ``A^n`` may be at most ``2^64``; larger candidate spaces
-are rejected up front, since such a trial expects at least ``1.8e19``
-attempts and could never finish.
+by its seed alone (entropy ``(seed, 0)``); the candidate string is that
+integer's ``n`` big-endian base-``A`` digits. It matches when the integer
+equals the prefix's key ``sum(code_i * A^(n-1-i))``. Bounds up to ``2^32``
+take numpy's buffered 32-bit path and larger ones its 64-bit path; on both,
+the drawn sequence does not depend on how draws are partitioned into
+batches, so the attempt count of a trial is a pure function of its seed, no
+matter the internal batch size or how many workers run concurrently.
+(Regression tests pin this partition invariance at a 32-bit and a 64-bit
+bound.) A key must fit in a uint64, so ``A^n`` may be at most ``2^64``;
+larger candidate spaces are rejected up front, since such a trial expects at
+least ``1.8e19`` attempts and could never finish.
 
 Stream version 1 drew ``n`` symbols per candidate; manifests written under
-it reproduce only under version 1. ``generate_candidate`` still draws one
-symbol at a time, bounded by ``A``, and its strings are those of version 1.
-``STREAM_VERSION`` names the current stream; each ``TrialRecord`` and every
-manifest of a command that simulates record it.
+it reproduce only under version 1. ``STREAM_VERSION`` names the current
+stream; each ``TrialRecord`` and every manifest of a command that simulates
+record it.
 Wall-clock times are measured with a monotonic clock and are explicitly
 outside the determinism guarantee.
 """
@@ -53,22 +52,19 @@ DEFAULT_ATTEMPT_BUDGET = 10**10
 
 @dataclass
 class RngStream:
-    """A deterministic symbol-index source keyed by ``(seed, stream_id)``.
+    """A deterministic source of bounded integers keyed by ``seed``.
 
-    Identical keys yield identical draw sequences; distinct ``stream_id``
-    values under one seed yield statistically independent streams.
+    Identical seeds yield identical draw sequences.
     """
 
     seed: int
-    stream_id: int = 0
     _generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be nonnegative")
-        sequence = np.random.SeedSequence((self.seed, self.stream_id))
+        # The fixed second entropy word keeps the streams of stream version 2.
+        sequence = np.random.SeedSequence((self.seed, 0))
         self._generator = np.random.Generator(np.random.PCG64(sequence))
 
     def draw_codes(self, count: int, bound: int) -> np.ndarray:
@@ -84,15 +80,6 @@ def derive_trial_seed(seed: int, iteration: int, prefix_length: int) -> int:
     """
     sequence = np.random.SeedSequence((seed, iteration, prefix_length))
     return int(sequence.generate_state(1, np.uint64)[0])
-
-
-def generate_candidate(alphabet: Alphabet, length: int, rng: RngStream) -> str:
-    """One candidate string: ``length`` independent uniform draws from the alphabet."""
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if length == 0:
-        return ""
-    return alphabet.decode(rng.draw_codes(length, alphabet.size))
 
 
 def _batch_rows(alphabet_size: int, prefix_length: int) -> int:
@@ -260,42 +247,30 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
 
 
 def measure_throughput(
-    alphabet: Alphabet,
-    length: int,
-    duration_seconds: float = 0.25,
-    workload: Optional[int] = None,
-    seed: int = 0,
+    alphabet: Alphabet, length: int, duration_seconds: float = 0.25
 ) -> float:
     """Candidate generations per second for this alphabet and length.
 
     Generates and compares candidates against a fixed prefix, through the
-    trial kernel's draw-and-match step, for roughly ``duration_seconds`` (or
-    for exactly ``workload`` candidates when given) and returns
-    count / elapsed. This is the preferred way to turn projected
-    attempt counts into projected durations: it sidesteps the noisy per-trial
-    wall clocks.
+    trial kernel's draw-and-match step, in whole batches until
+    ``duration_seconds`` have passed (at least one batch), and returns
+    count / elapsed. This is the preferred way to turn projected attempt
+    counts into projected durations: it sidesteps the noisy per-trial wall
+    clocks.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if workload is None and duration_seconds <= 0:
+    if duration_seconds <= 0:
         raise ValueError("duration_seconds must be positive")
-    if workload is not None and workload < 1:
-        raise ValueError("workload must be >= 1")
 
     space = _candidate_space(alphabet.size, length)
     key = _key(np.arange(length) % alphabet.size, alphabet.size)
-    stream = RngStream(seed)
-    batch = _MAX_BATCH if workload is None else min(_MAX_BATCH, workload)
+    stream = RngStream(0)
     generated = 0
     start = time.perf_counter()
     while True:
-        rows = batch if workload is None else min(batch, workload - generated)
-        _draw_and_match(stream, key, space, rows)
-        generated += rows
+        _draw_and_match(stream, key, space, _MAX_BATCH)
+        generated += _MAX_BATCH
         elapsed = time.perf_counter() - start
-        if workload is not None:
-            if generated >= workload:
-                break
-        elif elapsed >= duration_seconds:
-            break
-    return generated / max(elapsed, 1e-9)
+        if elapsed >= duration_seconds:
+            return generated / max(elapsed, 1e-9)

@@ -66,6 +66,40 @@ class TestSuccessProbability:
         assert abs(total) <= 1e-12
 
 
+def exact_scientific(num: int, den: int, digits: int) -> str:
+    """``num / den`` as ``<mantissa>e<exponent>`` with ``digits`` significant
+    digits, rounded half to even, in integer arithmetic only."""
+    exponent = len(str(num)) - len(str(den))  # floor(log10) is this or one less
+    if num * 10 ** max(-exponent, 0) < den * 10 ** max(exponent, 0):
+        exponent -= 1
+    shift = digits - 1 - exponent
+    top, bottom = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+    quotient, remainder = divmod(top, bottom)
+    if 2 * remainder > bottom or (2 * remainder == bottom and quotient % 2):
+        quotient += 1
+    if quotient == 10**digits:  # rounding carried 9.99... up to 10
+        quotient //= 10
+        exponent += 1
+    text = str(quotient)
+    return f"{text[0]}.{text[1:]}e{exponent}"
+
+
+@given(size=st.integers(2, 100), n=st.integers(1, 1200), digits=st.integers(2, 7))
+@settings(max_examples=300, deadline=None)
+def test_odds_strings_equal_exact_rounding(size, n, digits):
+    power = size**n
+    assert success_probability(size, n).to_string(digits) == exact_scientific(1, power, digits)
+    assert expected_attempts(size, n).to_string(digits) == exact_scientific(power, 1, digits)
+
+
+def test_exact_scientific_reference():
+    assert exact_scientific(1, 52**41, 4) == "4.404e-71"
+    assert exact_scientific(125, 1, 2) == "1.2e2"  # a tie goes to the even digit
+    assert exact_scientific(135, 1, 2) == "1.4e2"
+    assert exact_scientific(9999, 1, 3) == "1.00e4"
+    assert exact_scientific(1, 8, 2) == "1.2e-1"
+
+
 class TestExpectedAttempts:
     def test_single_draw(self):
         x = expected_attempts(53, 1)

@@ -1,10 +1,13 @@
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
 from monkeytyper.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TABLE_ARGS = [
     "--attempts",
@@ -265,6 +268,28 @@ class TestReport:
             run(["report", "--use-paper-data", "--no-timing", "--out", tmp_path / sub])
         for name in json.loads(read(tmp_path / "a", "manifest.json"))["outputs"]:
             assert read(tmp_path / "a", name) == read(tmp_path / "b", name)
+
+    @pytest.mark.parametrize(
+        "flags,golden",
+        [([], "report"), (["--paper-style"], "report-paper-style")],
+        ids=["plain", "paper-style"],
+    )
+    def test_published_data_bundle_matches_golden_copy(self, tmp_path, flags, golden):
+        # the committed bundle pins every digit, so drift in the scaled
+        # arithmetic or its formatting fails here (the manifest is not pinned)
+        assert run(["report", "--use-paper-data", *flags, "--out", tmp_path]) == 0
+        expected = sorted(path.name for path in (GOLDEN / golden).iterdir())
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted([*expected, "manifest.json"])
+        for name in expected:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / golden / name).read_bytes(), name
+
+    def test_manifest_records_prob_alphabet_size(self, tmp_path):
+        # summary.txt prints odds for this alphabet size, so the manifest must
+        # carry it to reproduce them
+        run(["report", "--use-paper-data", "--prob-alphabet-size", "26", "--out", tmp_path])
+        assert '"prob_alphabet_size": 26' in read(tmp_path, "manifest.json")
+        assert "(26 symbols, 41 chars)" in read(tmp_path, "summary.txt")
 
     def test_fresh_simulation_bundle(self, tmp_path):
         code = run(

@@ -57,20 +57,6 @@ class TestTargetText:
     def test_phrase_length(self):
         assert TargetText(PHRASE).length == 41
 
-    def test_prefix(self):
-        target = TargetText(PHRASE)
-        assert target.prefix(5) == "To be"
-        with pytest.raises(ValueError):
-            target.prefix(0)
-        with pytest.raises(ValueError):
-            target.prefix(42)
-
-    def test_validity_flag(self):
-        target = TargetText(PHRASE)
-        assert not target.is_valid_for(LETTERS_AND_SPACE)  # the commas
-        assert TargetText("To be").is_valid_for(LETTERS_AND_SPACE)
-        assert not TargetText("To be").is_valid_for(LETTERS)  # the space
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             TargetText("")

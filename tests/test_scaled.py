@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_err
-from monkeytyper import ScaledDecimal, scaled_from_log10, scaled_int_pow, scaled_mul
+from monkeytyper import ScaledDecimal, scaled_from_log10, scaled_int_pow
 
 mantissas = st.floats(min_value=1.0, max_value=9.999999, allow_nan=False)
 exponents = st.integers(min_value=-3000, max_value=3000)
 
 
 def build(mantissa: float, exponent: int) -> ScaledDecimal:
-    return ScaledDecimal(Decimal(mantissa), exponent)
+    return ScaledDecimal(Decimal(f"{mantissa!r}e{exponent}"))
 
 
 class TestFromLog10:
@@ -51,23 +51,22 @@ class TestMul:
     def test_identity(self):
         x = build(7.25, -40)
         one = ScaledDecimal.from_int(1)
-        assert scaled_mul(one, x) == x
+        assert one * x == x
 
     def test_exact_carry(self):
-        product = scaled_mul(build(5.0, 3), build(4.0, 2))
+        product = build(5.0, 3) * build(4.0, 2)
         assert product.mantissa == 2 and product.exponent == 6
 
     def test_long_multiplication_oracle(self):
         # 345,380,000 x 286,360,000 done in exact integers
-        product = scaled_mul(
-            ScaledDecimal.from_float(3.4538e8), ScaledDecimal.from_float(2.8636e8)
-        )
+        product = ScaledDecimal.from_float(3.4538e8) * ScaledDecimal.from_float(2.8636e8)
         exact = 345_380_000 * 286_360_000
         assert product == ScaledDecimal.from_int(exact)
         assert product.to_string(4) == "9.890e16"
 
     def test_zero_absorbs(self):
-        assert scaled_mul(ScaledDecimal.zero(), build(3.0, 5)) == ScaledDecimal.zero()
+        zero = ScaledDecimal.from_int(0)
+        assert zero * build(3.0, 5) == zero
 
     @given(a=mantissas, ae=exponents, b=mantissas, be=exponents)
     def test_commutative(self, a, ae, b, be):
@@ -110,23 +109,25 @@ class TestIntPow:
 
 
 class TestRepresentation:
-    def test_mantissa_outside_range_rejected(self):
-        with pytest.raises(ValueError):
-            ScaledDecimal(Decimal("10.5"), 0)
-        with pytest.raises(ValueError):
-            ScaledDecimal(Decimal("0.5"), 0)
-        with pytest.raises(ValueError):
-            ScaledDecimal(Decimal(-1), 0)
-
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             ScaledDecimal.from_float(-2.0)
         with pytest.raises(ValueError):
             ScaledDecimal.from_int(-2)
+        with pytest.raises(ValueError):
+            ScaledDecimal(Decimal(-1))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ScaledDecimal.from_float(bad)
+        with pytest.raises(ValueError):
+            ScaledDecimal(Decimal(bad))
 
     def test_zero_round_trips(self):
-        assert str(ScaledDecimal.zero()) == "0"
-        assert ScaledDecimal.parse("0") == ScaledDecimal.zero()
+        zero = ScaledDecimal.from_int(0)
+        assert str(zero) == "0"
+        assert (zero.mantissa, zero.exponent) == (0, 0)
 
     def test_to_string_pads_significant_digits(self):
         assert build(5.0, -1).to_string(4) == "5.000e-1"
@@ -134,16 +135,7 @@ class TestRepresentation:
         assert build(5.0, -1).to_string(1) == "5e-1"
 
     def test_to_string_carry_renormalizes(self):
-        assert ScaledDecimal(Decimal("9.9999"), 5).to_string(4) == "1.000e6"
-
-    def test_parse_round_trip(self):
-        for text in ["4.404e-71", "2.680e69", "1.000e0", "4.730e-2609"]:
-            assert ScaledDecimal.parse(text).to_string(4) == text
-
-    def test_parse_rejects_garbage(self):
-        for text in ["", "12e4", "4.4", "e5", "4,4e5"]:
-            with pytest.raises(ValueError):
-                ScaledDecimal.parse(text)
+        assert ScaledDecimal(Decimal("9.9999e5")).to_string(4) == "1.000e6"
 
     def test_float_conversion(self):
         assert float(build(2.5, 3)) == 2500.0
@@ -152,13 +144,13 @@ class TestRepresentation:
     def test_ordering(self):
         assert build(2.0, 10) < build(1.0, 11)
         assert build(9.0, -5) > build(2.0, -5)
-        assert ScaledDecimal.zero() < build(1.0, -3000)
+        assert ScaledDecimal.from_int(0) < build(1.0, -3000)
 
     def test_division(self):
         q = build(2.0, 6) / build(4.0, 2)
         assert q.mantissa == 5 and q.exponent == 3
         with pytest.raises(ZeroDivisionError):
-            build(1.0, 0) / ScaledDecimal.zero()
+            build(1.0, 0) / ScaledDecimal.from_int(0)
 
     def test_works_with_plain_numbers(self):
         assert ScaledDecimal.from_float(3600.0) / 3600.0 == ScaledDecimal.from_int(1)

@@ -15,7 +15,6 @@ from monkeytyper import (
     RngStream,
     TargetText,
     derive_trial_seed,
-    generate_candidate,
     measure_throughput,
     run_experiment,
     run_prefix_trial,
@@ -28,20 +27,35 @@ AB = Alphabet("ab")
 
 class TestRngStream:
     def test_same_key_same_draws(self):
-        a = RngStream(42, 7).draw_codes(256, 53)
-        b = RngStream(42, 7).draw_codes(256, 53)
+        a = RngStream(42).draw_codes(256, 53)
+        b = RngStream(42).draw_codes(256, 53)
         assert np.array_equal(a, b)
 
-    def test_distinct_streams_differ(self):
-        a = RngStream(42, 0).draw_codes(256, 53)
-        b = RngStream(42, 1).draw_codes(256, 53)
+    def test_distinct_seeds_differ(self):
+        a = RngStream(42).draw_codes(256, 53)
+        b = RngStream(43).draw_codes(256, 53)
         assert not np.array_equal(a, b)
+
+    def test_uniformity_chi_square(self):
+        # 10^6 draws bounded by the 53-symbol alphabet; the statistic is
+        # computed directly and compared to the chi-square critical value at
+        # significance 0.001 with 52 degrees of freedom
+        stream = RngStream(123)
+        counts = Counter()
+        draws = 1_000_000
+        for _ in range(draws // 500):
+            counts.update(stream.draw_codes(500, 53).tolist())
+        assert sum(counts.values()) == draws
+        assert len(counts) == 53
+        expected = draws / 53
+        statistic = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert statistic < stats.chi2.ppf(0.999, df=52)
 
     def test_draws_are_partition_invariant(self):
         # the whole determinism story rests on this: how draws are batched
         # must not change the drawn sequence
-        whole = RngStream(9, 3).draw_codes(1200, 53)
-        split_stream = RngStream(9, 3)
+        whole = RngStream(9).draw_codes(1200, 53)
+        split_stream = RngStream(9)
         split = np.concatenate(
             [split_stream.draw_codes(k, 53) for k in (1, 7, 92, 1100)]
         )
@@ -51,8 +65,8 @@ class TestRngStream:
     def test_candidate_draws_are_partition_invariant(self, bound):
         # numpy draws bounds up to 2^32 from half-words, larger ones from
         # whole words; odd split sizes leave a half-word over between calls
-        whole = RngStream(9, 3).draw_codes(1200, bound)
-        split_stream = RngStream(9, 3)
+        whole = RngStream(9).draw_codes(1200, bound)
+        split_stream = RngStream(9)
         split = np.concatenate(
             [split_stream.draw_codes(k, bound) for k in (1, 7, 93, 1099)]
         )
@@ -76,47 +90,12 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(2**64)
-        with pytest.raises(ValueError):
-            RngStream(1, -1)
 
 
 def test_derive_trial_seed_is_stable_and_distinct():
     assert derive_trial_seed(42, 1, 2) == derive_trial_seed(42, 1, 2)
     seeds = {derive_trial_seed(42, it, n) for it in range(1, 11) for n in range(1, 6)}
     assert len(seeds) == 50
-
-
-class TestGenerateCandidate:
-    def test_zero_length(self):
-        assert generate_candidate(AB, 0, RngStream(1)) == ""
-
-    def test_single_symbol_alphabet_forces_output(self):
-        assert generate_candidate(Alphabet("a"), 4, RngStream(1)) == "aaaa"
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            generate_candidate(AB, -1, RngStream(1))
-
-    def test_advances_stream_state(self):
-        stream = RngStream(5)
-        first = generate_candidate(AB, 16, stream)
-        second = generate_candidate(AB, 16, stream)
-        assert first != second
-
-    def test_uniformity_chi_square(self):
-        # 10^6 symbol draws against the 53-symbol alphabet; the statistic is
-        # computed directly and compared to the chi-square critical value at
-        # significance 0.001 with 52 degrees of freedom
-        stream = RngStream(123)
-        counts = Counter()
-        draws = 1_000_000
-        for _ in range(draws // 500):
-            counts.update(generate_candidate(LETTERS_AND_SPACE, 500, stream))
-        assert sum(counts.values()) == draws
-        assert len(counts) == 53
-        expected = draws / 53
-        statistic = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert statistic < stats.chi2.ppf(0.999, df=52)
 
 
 class TestRunPrefixTrial:
@@ -360,10 +339,6 @@ class TestMeasureThroughput:
     def test_rate_is_strictly_positive(self):
         assert measure_throughput(AB, 2, duration_seconds=0.02) > 0
 
-    def test_fixed_workload_mode(self):
-        rate = measure_throughput(AB, 2, workload=50_000)
-        assert rate > 0
-
     def test_draws_one_integer_per_candidate(self, monkeypatch):
         # a candidate of length 5 is one draw in [0, 53^5), so the cost per
         # candidate no longer grows with its length
@@ -375,19 +350,17 @@ class TestMeasureThroughput:
             return draw_codes(rng, count, bound)
 
         monkeypatch.setattr(RngStream, "draw_codes", recorded)
-        measure_throughput(LETTERS_AND_SPACE, 5, workload=100_000)
-        assert sum(count for count, _ in draws) == 100_000
+        rate = measure_throughput(LETTERS_AND_SPACE, 5, duration_seconds=0.01)
+        assert draws and rate > 0
         assert {bound for _, bound in draws} == {53**5}
 
     def test_candidate_space_above_2_to_the_64_is_rejected(self):
-        measure_throughput(AB, 64, workload=10)
+        measure_throughput(AB, 64, duration_seconds=0.01)
         with pytest.raises(ValueError, match=r"2\^64"):
-            measure_throughput(AB, 65, workload=10)
+            measure_throughput(AB, 65, duration_seconds=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             measure_throughput(AB, 0, duration_seconds=0.01)
         with pytest.raises(ValueError):
             measure_throughput(AB, 1, duration_seconds=0.0)
-        with pytest.raises(ValueError):
-            measure_throughput(AB, 1, workload=0)
