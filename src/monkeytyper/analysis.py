@@ -6,6 +6,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,8 +55,8 @@ def growth_factor(values: Sequence[float]) -> float:
     if len(values) < 2:
         raise ValueError("need at least 2 values to estimate a growth factor")
     for v in values:
-        if v <= 0:
-            raise ValueError(f"values must be positive, got {v}")
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"values must be positive and finite, got {v}")
     ratios = [values[i] / values[i - 1] for i in range(1, len(values))]
     return sum(ratios) / len(ratios)
 

@@ -12,10 +12,18 @@ value back as ``mantissa * 10**exponent``; ``to_string`` prints it as
 Only the arithmetic this domain needs is provided: construction from
 ``log10`` / ints / floats, multiplication, division, integer powers, and
 ``log10`` back out. This is deliberately not a general bignum library.
+
+``log10`` is the float log of the mantissa plus the exact exponent. It is
+within one ulp of ``max(1, |log10|)`` of the correctly rounded value, and
+its last digit follows the platform's libm, so the log10 series are
+byte-stable per platform rather than across platforms. No result depends
+on the caller's thread-local :mod:`decimal` context.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal
 
@@ -74,10 +82,14 @@ class ScaledDecimal:
         return ScaledDecimal(_CTX.divide(self.value, _coerce(other).value))
 
     def log10(self) -> float:
-        """Base-10 logarithm as a float; the exponent part stays exact."""
+        """Base-10 logarithm as a float, within one ulp of ``max(1, |log10|)``.
+
+        The float log of the mantissa (which lies in ``[1, 10)``) plus the
+        exact integer exponent.
+        """
         if not self.value:
             raise ValueError("log10 of zero")
-        return float(_CTX.log10(self.mantissa) + self.exponent)
+        return math.log10(self.mantissa) + self.exponent
 
     def __float__(self) -> float:
         # Overflows to inf / underflows to 0.0 outside float range, by design.
@@ -95,10 +107,18 @@ class ScaledDecimal:
             raise ValueError("significant_digits must be >= 1")
         if not self.value:
             return "0"
-        return format(self.value, f".{significant_digits - 1}e").replace("+", "")
+        # Round in a context of our own first: format() rounds in the
+        # caller's thread-local context, and the rounded value formats exactly.
+        rounded = _rounding_context(significant_digits).plus(self.value)
+        return format(rounded, f".{significant_digits - 1}e").replace("+", "")
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+@functools.cache
+def _rounding_context(digits: int) -> Context:
+    return Context(prec=digits, rounding=_CTX.rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 
 def _coerce(value) -> ScaledDecimal:

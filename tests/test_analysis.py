@@ -135,6 +135,11 @@ class TestGrowthFactor:
         with pytest.raises(ValueError, match="positive"):
             growth_factor([1.0, -2.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            growth_factor([1.0, bad])
+
     @given(
         ratio=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
         start=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),

@@ -1,3 +1,4 @@
+import decimal
 import json
 import re
 import time
@@ -168,6 +169,24 @@ class TestProject:
         assert "prefix lengths" in err and "[3, 4, 5]" in err
         assert not (tmp_path / "proj" / "projection.json").exists()
 
+    @pytest.mark.parametrize("source", ["lists", "measurements"])
+    @pytest.mark.parametrize(
+        "attempts,times", [("inf,1", "1,2"), ("nan,1", "1,2"), ("1,2", "1,inf")]
+    )
+    def test_non_finite_base_values_exit_2(self, tmp_path, capsys, source, attempts, times):
+        if source == "lists":
+            flags = ["--attempts", attempts, "--times", times]
+        else:
+            rows = ["test,prefix_len,attempts,elapsed_seconds"]
+            pairs = zip(attempts.split(","), times.split(","))
+            rows += [f"average,{n},{a},{t}" for n, (a, t) in enumerate(pairs, start=1)]
+            csv_path = tmp_path / "measurements.csv"
+            csv_path.write_text("\n".join(rows) + "\n")
+            flags = ["--measurements", csv_path]
+        code = run(["project", *flags, "--out", tmp_path / "proj"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_requires_two_base_points(self, tmp_path, capsys):
         code = run(["project", "--attempts", "60", "--times", "0.1", "--out", tmp_path])
         assert code != 0
@@ -283,6 +302,14 @@ class TestReport:
         assert written == sorted([*expected, "manifest.json"])
         for name in expected:
             assert (tmp_path / name).read_bytes() == (GOLDEN / golden / name).read_bytes(), name
+
+    def test_bundle_ignores_the_callers_decimal_context(self, tmp_path):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 6
+            ctx.rounding = decimal.ROUND_DOWN
+            assert run(["report", "--use-paper-data", "--out", tmp_path]) == 0
+        for path in (GOLDEN / "report").iterdir():
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_manifest_records_prob_alphabet_size(self, tmp_path):
         # summary.txt prints odds for this alphabet size, so the manifest must

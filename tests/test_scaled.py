@@ -1,13 +1,18 @@
 import math
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, Context, Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_err
-from monkeytyper import ScaledDecimal, scaled_from_log10, scaled_int_pow
+from monkeytyper import (
+    ScaledDecimal,
+    scaled_from_log10,
+    scaled_int_pow,
+    success_probability,
+)
 
 mantissas = st.floats(min_value=1.0, max_value=9.999999, allow_nan=False)
 exponents = st.integers(min_value=-3000, max_value=3000)
@@ -45,6 +50,45 @@ class TestFromLog10:
     def test_round_trip_through_log10(self, mantissa, exponent):
         x = build(mantissa, exponent)
         assert rel_err(scaled_from_log10(x.log10()), x) <= 1e-12
+
+
+@st.composite
+def wide_values(draw) -> ScaledDecimal:
+    """1 to 36 significant digits, decimal exponent in [-200000, 200000]."""
+    digits = draw(st.integers(1, 36))
+    coefficient = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    exponent = draw(st.integers(-200_000, 200_000))
+    return ScaledDecimal(Decimal(f"{coefficient}e{exponent - digits + 1}"))
+
+
+class TestLog10:
+    @given(x=wide_values())
+    @settings(max_examples=500)
+    def test_within_one_ulp_of_a_sixty_digit_reference(self, x):
+        # covers 52^+-100000 and 4.7e-2609; the golden log10 CSVs rely on it
+        ref = float(Context(prec=60, Emin=MIN_EMIN, Emax=MAX_EMAX).log10(x.value))
+        assert abs(x.log10() - ref) <= math.ulp(max(1.0, abs(ref)))
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="zero"):
+            ScaledDecimal.from_int(0).log10()
+
+
+class TestCallerContext:
+    """Results do not depend on the caller's thread-local decimal context."""
+
+    @pytest.fixture(autouse=True)
+    def hostile_context(self):
+        with localcontext() as ctx:
+            ctx.prec = 6
+            ctx.rounding = ROUND_DOWN
+            yield
+
+    def test_log10_keeps_full_precision(self):
+        assert success_probability(52, 41).log10() == -70.35613708902676
+
+    def test_to_string_rounds_half_even(self):
+        assert success_probability(52, 1520).to_string() == "4.731e-2609"
 
 
 class TestMul:
