@@ -16,6 +16,7 @@ from monkeytyper import (
     published_averages,
     build_projection_table,
 )
+from monkeytyper.analysis import UNIVERSE_AGE_YEARS
 
 rate = measure_throughput(LETTERS_AND_SPACE, length=5, duration_seconds=0.3)
 print(f"this machine generates about {rate:,.0f} length-5 candidates per second")
@@ -35,4 +36,4 @@ print(
     f"\nat this throughput the full phrase needs {implied_total.to_string(3)} s "
     f"= {breakdown.years.to_string(3)} years"
 )
-print(f"(the universe is {breakdown.universe_age_years:.2e} years old)")
+print(f"(the universe is {UNIVERSE_AGE_YEARS:.2e} years old)")

@@ -10,11 +10,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .data import PUBLISHED_SOLILOQUY_LENGTH
 from .model import GrowthModel, ProjectionRow, ProjectionTable, TargetText
 from .scaled import ScaledDecimal, scaled_int_pow
 
-#: Julian year. Configurable everywhere it is used: the published figures
-#: never state which year length they assumed.
+#: Julian year, the year length every time conversion uses: the published
+#: figures never state which one they assumed.
 JULIAN_YEAR_SECONDS = 3.15576e7
 
 #: Estimated age of the universe, in years.
@@ -143,28 +144,16 @@ class TimeBreakdown:
     hours: ScaledDecimal
     years: ScaledDecimal
     universe_age_ratio: ScaledDecimal
-    year_length_seconds: float
-    universe_age_years: float
 
 
-def convert_time(
-    seconds: ScaledDecimal,
-    year_length_seconds: float = JULIAN_YEAR_SECONDS,
-    universe_age_years: float = UNIVERSE_AGE_YEARS,
-) -> TimeBreakdown:
-    """Express a duration in hours, years, and multiples of the universe's age."""
-    if year_length_seconds <= 0:
-        raise ValueError("year_length_seconds must be positive")
-    if universe_age_years <= 0:
-        raise ValueError("universe_age_years must be positive")
-    years = seconds / year_length_seconds
+def convert_time(seconds: ScaledDecimal) -> TimeBreakdown:
+    """Express a duration in hours, Julian years, and multiples of the universe's age."""
+    years = seconds / JULIAN_YEAR_SECONDS
     return TimeBreakdown(
         seconds=seconds,
         hours=seconds / SECONDS_PER_HOUR,
         years=years,
-        universe_age_ratio=years / universe_age_years,
-        year_length_seconds=year_length_seconds,
-        universe_age_years=universe_age_years,
+        universe_age_ratio=years / UNIVERSE_AGE_YEARS,
     )
 
 
@@ -176,34 +165,24 @@ CENSUS_NORMALIZATIONS = (
     "letters_and_space",
 )
 
-#: The total the published experiment reports for its source text.
-PUBLISHED_CHARACTER_COUNT = 1520
-
-
 @dataclass(frozen=True)
 class CensusReport:
-    """Character counts of one text under every normalization, with match flags."""
+    """Character counts of one text under every normalization."""
 
     counts: dict[str, int]
-    expected_count: int = PUBLISHED_CHARACTER_COUNT
-
-    @property
-    def matches(self) -> dict[str, bool]:
-        return {name: count == self.expected_count for name, count in self.counts.items()}
 
     def lines(self) -> list[str]:
+        """One line per normalization, flagging whether it equals the published total."""
         width = max(len(name) for name in self.counts)
         return [
             f"{name:<{width}}  {count:>7}  "
-            + ("matches" if count == self.expected_count else "differs from")
-            + f" {self.expected_count}"
+            + ("matches" if count == PUBLISHED_SOLILOQUY_LENGTH else "differs from")
+            + f" {PUBLISHED_SOLILOQUY_LENGTH}"
             for name, count in self.counts.items()
         ]
 
 
-def corpus_census(
-    text: str, expected_count: int = PUBLISHED_CHARACTER_COUNT
-) -> CensusReport:
+def corpus_census(text: str) -> CensusReport:
     """Count characters under several rules rather than guessing the right one.
 
     * ``raw``: every character, line breaks included.
@@ -221,7 +200,7 @@ def corpus_census(
             1 for c in text if (c.isascii() and c.isalpha()) or c == " "
         ),
     }
-    return CensusReport(counts=counts, expected_count=expected_count)
+    return CensusReport(counts=counts)
 
 
 def log10_series(table: ProjectionTable) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:

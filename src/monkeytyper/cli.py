@@ -3,7 +3,9 @@
 Every command that emits files writes them under ``--out`` together with a
 ``manifest.json`` recording the resolved configuration; re-running with that
 configuration reproduces all attempt-count outputs byte-identically (timing
-columns excluded, or zeroed up front with ``--no-timing``).
+columns excluded, or zeroed up front with ``--no-timing``). Files are written
+only once the command's computation has succeeded, so a failing command
+leaves nothing under ``--out``.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, data
 from .analysis import (
+    JULIAN_YEAR_SECONDS,
+    UNIVERSE_AGE_YEARS,
     CensusReport,
     TimeBreakdown,
     build_projection_table,
@@ -47,29 +50,6 @@ from .simulate import (
 SUMMARY_DIGITS = 3  # headline values match the published 3-significant-figure style
 
 
-@dataclass
-class RunManifest:
-    """What a command did: resolved configuration plus every file it wrote."""
-
-    command: str
-    config: dict
-    version: str = __version__
-    outputs: list[str] = field(default_factory=list)
-
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "manifest.json"
-        if "manifest.json" not in self.outputs:
-            self.outputs.append("manifest.json")
-        payload = {
-            "command": self.command,
-            "version": self.version,
-            "config": self.config,
-            "outputs": sorted(self.outputs),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
-
-
 def _parse_alphabet(spec: str) -> Alphabet:
     """A preset name (``letters``, ``letters+space``) or explicit symbols."""
     try:
@@ -78,10 +58,23 @@ def _parse_alphabet(spec: str) -> Alphabet:
         return Alphabet(spec)
 
 
-def _write(out_dir: Path, name: str, text: str, manifest: RunManifest) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
-    manifest.outputs.append(name)
+def _write_outputs(out_dir: str, command: str, config: dict, files: dict[str, str]) -> None:
+    """Create ``out_dir`` and write ``files`` plus a ``manifest.json`` naming them all.
+
+    ``config`` may be a command's parsed flags: ``command``, ``func`` and
+    ``out`` are dropped from what the manifest records.
+    """
+    path = Path(out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (path / name).write_text(text)
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "config": {k: v for k, v in config.items() if k not in ("command", "func", "out")},
+        "outputs": sorted([*files, "manifest.json"]),
+    }
+    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _paper_style(x: ScaledDecimal) -> str:
@@ -98,60 +91,45 @@ def _series_csv(pairs: list[tuple[int, float]], column: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _breakdown_lines(breakdown: TimeBreakdown, digits: int = SUMMARY_DIGITS) -> list[str]:
-    fmt = lambda x: x.to_string(digits)  # noqa: E731
+def _breakdown_lines(breakdown: TimeBreakdown) -> list[str]:
+    fmt = lambda x: x.to_string(SUMMARY_DIGITS)  # noqa: E731
     return [
         f"estimated seconds: {fmt(breakdown.seconds)}",
         f"estimated hours:   {fmt(breakdown.hours)}",
-        f"estimated years:   {fmt(breakdown.years)} (year = {breakdown.year_length_seconds:g} s)",
+        f"estimated years:   {fmt(breakdown.years)} (year = {JULIAN_YEAR_SECONDS:g} s)",
         f"universe ages:     {fmt(breakdown.universe_age_ratio)} "
-        f"(universe age = {breakdown.universe_age_years:g} years)",
+        f"(universe age = {UNIVERSE_AGE_YEARS:g} years)",
     ]
 
 
-def _emit_projection(
-    table: ProjectionTable,
-    model: GrowthModel,
-    out_dir: Path,
-    manifest: RunManifest,
-    paper_style: bool,
-) -> list[str]:
-    """Write projection CSV/JSON and the plot series; return printable lines."""
+def _projection_outputs(
+    table: ProjectionTable, model: GrowthModel, paper_style: bool
+) -> tuple[dict[str, str], list[str]]:
+    """Projection CSV/JSON and the plot series by file name, and printable lines."""
     fmt = _paper_style if paper_style else str
-    _write(out_dir, "projection.csv", table.to_csv(fmt), manifest)
-    _write(
-        out_dir,
-        "projection.json",
-        json.dumps(table.to_json_rows(fmt), indent=2) + "\n",
-        manifest,
-    )
     attempts_pairs, seconds_pairs = log10_series(table)
-    _write(out_dir, "attempts_log10.csv", _series_csv(attempts_pairs, "log10_attempts"), manifest)
-    _write(out_dir, "seconds_log10.csv", _series_csv(seconds_pairs, "log10_seconds"), manifest)
-
+    files = {
+        "projection.csv": table.to_csv(fmt),
+        "projection.json": json.dumps(table.to_json_rows(fmt), indent=2) + "\n",
+        "attempts_log10.csv": _series_csv(attempts_pairs, "log10_attempts"),
+        "seconds_log10.csv": _series_csv(seconds_pairs, "log10_seconds"),
+    }
     final = table.final
-    breakdown = convert_time(final.seconds)
     lines = [
         f"growth factors: attempts {model.attempts_growth_factor:.3f}, "
         f"time {model.time_growth_factor:.3f}",
         f"final row ({final.prefix_len} characters, {final.region}): "
         f"attempts {final.attempts.to_string(SUMMARY_DIGITS)}",
-        *_breakdown_lines(breakdown),
+        *_breakdown_lines(convert_time(final.seconds)),
     ]
-    return lines
+    return files, lines
 
 
 # -- simulate ---------------------------------------------------------------
 
 
-def _manifest(command: str, args, **overrides) -> RunManifest:
-    """A manifest whose config is every parsed flag but ``--out``, plus ``overrides``."""
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
-    return RunManifest(command=command, config={**config, **overrides})
-
-
-def _simulate(args, alphabet: Alphabet, out_dir: Path, manifest: RunManifest) -> MeasurementTable:
-    """Run the trial matrix the flags describe and write ``measurements.csv``."""
+def _simulate(args, alphabet: Alphabet) -> MeasurementTable:
+    """Run the trial matrix the flags describe."""
     config = ExperimentConfig(
         target=TargetText(args.target),
         alphabet=alphabet,
@@ -162,21 +140,17 @@ def _simulate(args, alphabet: Alphabet, out_dir: Path, manifest: RunManifest) ->
         worker_count=args.workers,
         auto_extend_alphabet=args.extend_alphabet,
     )
-    table = run_experiment(config)
-    manifest.config["stream_version"] = STREAM_VERSION
-    csv_text = table.to_csv(include_timing=not args.no_timing)
-    _write(out_dir, "measurements.csv", csv_text, manifest)
-    return table
+    return run_experiment(config)
 
 
 def cmd_simulate(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
-    out_dir = Path(args.out)
-    manifest = _manifest("simulate", args, alphabet=alphabet.symbols)
-    table = _simulate(args, alphabet, out_dir, manifest)
-    manifest.write(out_dir)
+    table = _simulate(args, alphabet)
+    csv_text = table.to_csv(include_timing=not args.no_timing)
+    config = {**vars(args), "alphabet": alphabet.symbols, "stream_version": STREAM_VERSION}
+    _write_outputs(args.out, "simulate", config, {"measurements.csv": csv_text})
 
-    for line in (out_dir / "measurements.csv").read_text().splitlines():
+    for line in csv_text.splitlines():
         if line.startswith("test,") or line.startswith("average,"):
             print(line)
     incomplete = table.incomplete_cells()
@@ -210,20 +184,15 @@ def cmd_project(args) -> int:
         source = "lists"
     model = fit_growth_model(attempts_base, times_base)
     table = build_projection_table(model, TargetText(args.target))
-
-    out_dir = Path(args.out)
-    manifest = RunManifest(
-        command="project",
-        config={
-            "target": args.target,
-            "attempts_base": attempts_base,
-            "times_base": times_base,
-            "source": source,
-            "paper_style": args.paper_style,
-        },
-    )
-    lines = _emit_projection(table, model, out_dir, manifest, args.paper_style)
-    manifest.write(out_dir)
+    files, lines = _projection_outputs(table, model, args.paper_style)
+    config = {
+        "target": args.target,
+        "attempts_base": attempts_base,
+        "times_base": times_base,
+        "source": source,
+        "paper_style": args.paper_style,
+    }
+    _write_outputs(args.out, "project", config, files)
     print("\n".join(lines))
     return 0
 
@@ -244,10 +213,7 @@ def cmd_prob(args) -> int:
     ]
     print("\n".join(lines))
     if args.out is not None:
-        out_dir = Path(args.out)
-        manifest = _manifest("prob", args)
-        _write(out_dir, "prob.txt", "\n".join(lines) + "\n", manifest)
-        manifest.write(out_dir)
+        _write_outputs(args.out, "prob", vars(args), {"prob.txt": "\n".join(lines) + "\n"})
     return 0
 
 
@@ -269,16 +235,11 @@ def cmd_census(args) -> int:
     lines = _census_lines(report, source)
     print("\n".join(lines))
     if args.out is not None:
-        out_dir = Path(args.out)
-        manifest = RunManifest(
-            command="census",
-            config={
-                "source": "bundled-hamlet" if args.bundled_hamlet else str(args.file),
-                "expected_count": report.expected_count,
-            },
-        )
-        _write(out_dir, "census.txt", "\n".join(lines) + "\n", manifest)
-        manifest.write(out_dir)
+        config = {
+            "source": "bundled-hamlet" if args.bundled_hamlet else str(args.file),
+            "expected_count": data.PUBLISHED_SOLILOQUY_LENGTH,
+        }
+        _write_outputs(args.out, "census", config, {"census.txt": "\n".join(lines) + "\n"})
     return 0
 
 
@@ -286,11 +247,10 @@ def cmd_census(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out_dir = Path(args.out)
     alphabet = _parse_alphabet(args.alphabet)
+    config = {**vars(args), "alphabet": alphabet.symbols}
+    files: dict[str, str] = {}
     summary: list[str] = []
-
-    manifest = _manifest("report", args, alphabet=alphabet.symbols)
 
     if args.use_paper_data:
         published = data.published_averages()
@@ -298,7 +258,9 @@ def cmd_report(args) -> int:
         times_base = [float(v) for v in published["seconds"]]
         summary.append("base data: published per-prefix averages (ten trials, prefixes 1..5)")
     else:
-        table = _simulate(args, alphabet, out_dir, manifest)
+        table = _simulate(args, alphabet)
+        config["stream_version"] = STREAM_VERSION
+        files["measurements.csv"] = table.to_csv(include_timing=not args.no_timing)
         attempts_base = list(table.attempts_averages)
         times_base = list(table.time_averages)
         summary.append(
@@ -313,7 +275,9 @@ def cmd_report(args) -> int:
     model = fit_growth_model(attempts_base, times_base)
     projection = build_projection_table(model, target)
     summary.append(f"projection target: {target.text!r} ({target.length} characters)")
-    summary += _emit_projection(projection, model, out_dir, manifest, args.paper_style)
+    projection_files, projection_lines = _projection_outputs(projection, model, args.paper_style)
+    files.update(projection_files)
+    summary += projection_lines
 
     summary.append(
         "for reference, the published study quotes 9.32e55 years and 6.75e45 "
@@ -339,8 +303,7 @@ def cmd_report(args) -> int:
     summary += _census_lines(corpus_census(data.hamlet_soliloquy()), "bundled soliloquy")
 
     text = "\n".join(summary) + "\n"
-    _write(out_dir, "summary.txt", text, manifest)
-    manifest.write(out_dir)
+    _write_outputs(args.out, "report", config, {**files, "summary.txt": text})
     print(text, end="")
     return 0
 

@@ -48,9 +48,6 @@ class Alphabet:
     def _index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.symbols)}
 
-    def __contains__(self, char: str) -> bool:
-        return char in self._index
-
     def missing_from(self, text: str) -> str:
         """Distinct characters of ``text`` not in this alphabet, in first-seen order."""
         seen: list[str] = []
@@ -116,9 +113,7 @@ class TrialRecord:
     ``seed`` is the derived 64-bit value that reproduces this trial's
     character stream on its own. ``completed`` is False when the trial hit
     its attempt budget before matching; ``attempts`` then holds the count
-    so far. ``stream_version`` names the candidate stream that produced
-    ``attempts`` (``simulate.STREAM_VERSION``); it is None for records not
-    made by the trial kernel, and is not part of the CSV schema.
+    so far.
     """
 
     prefix_length: int
@@ -126,7 +121,6 @@ class TrialRecord:
     elapsed_seconds: float
     seed: int
     completed: bool = True
-    stream_version: int | None = None
 
     def __post_init__(self):
         if self.prefix_length < 1:
@@ -137,8 +131,9 @@ class TrialRecord:
             raise ValueError("elapsed_seconds must be >= 0")
 
 
-# CSV schema for measurement tables; ``--no-timing`` zeroes elapsed_seconds.
+# CSV schemas. ``--no-timing`` zeroes a measurement table's elapsed_seconds.
 MEASUREMENT_CSV_HEADER = ("test", "prefix_len", "attempts", "elapsed_seconds", "seed")
+PROJECTION_CSV_HEADER = ("prefix_len", "text_part", "attempts", "seconds", "hours", "region")
 
 
 @dataclass(frozen=True)
@@ -301,29 +296,18 @@ class ProjectionTable:
         return self.rows[-1]
 
     def to_csv(self, fmt=None) -> str:
-        """Serialize as ``prefix_len,text_part,attempts,seconds,hours,region``.
-
-        ``fmt`` maps a ScaledDecimal to its printed form; default is the
-        plain ``<mantissa>e<exponent>`` serialization.
-        """
-        fmt = fmt or str
+        """The rows of :meth:`to_json_rows` as CSV under ``PROJECTION_CSV_HEADER``."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["prefix_len", "text_part", "attempts", "seconds", "hours", "region"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.prefix_len,
-                    row.text_part,
-                    fmt(row.attempts),
-                    fmt(row.seconds),
-                    fmt(row.hours),
-                    row.region,
-                ]
-            )
+        writer = csv.DictWriter(buf, PROJECTION_CSV_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(self.to_json_rows(fmt))
         return buf.getvalue()
 
     def to_json_rows(self, fmt=None) -> list[dict]:
+        """One dict per row; ``fmt`` maps a ScaledDecimal to its printed form.
+
+        The default is the plain ``<mantissa>e<exponent>`` serialization.
+        """
         fmt = fmt or str
         return [
             {

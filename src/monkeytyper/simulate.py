@@ -22,8 +22,7 @@ least ``1.8e19`` attempts and could never finish.
 
 Stream version 1 drew ``n`` symbols per candidate; manifests written under
 it reproduce only under version 1. ``STREAM_VERSION`` names the current
-stream; each ``TrialRecord`` and every manifest of a command that simulates
-record it.
+stream; every manifest of a command that simulates records it.
 Wall-clock times are measured with a monotonic clock and are explicitly
 outside the determinism guarantee.
 """
@@ -159,9 +158,7 @@ def run_prefix_trial(
         attempts += hit + 1 if completed else rows
         if completed or (budget is not None and attempts >= budget):
             elapsed = time.perf_counter() - start
-            return TrialRecord(
-                prefix_length, attempts, elapsed, rng.seed, completed, STREAM_VERSION
-            )
+            return TrialRecord(prefix_length, attempts, elapsed, rng.seed, completed)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from monkeytyper import (
     project_series,
     success_probability,
 )
+from monkeytyper.analysis import JULIAN_YEAR_SECONDS, UNIVERSE_AGE_YEARS
 
 positive_series = st.lists(
     st.floats(min_value=1e-4, max_value=1e9, allow_nan=False), min_size=2, max_size=8
@@ -271,7 +272,7 @@ class TestConvertTime:
     def test_years_with_julian_year(self):
         # oracle: straight division in log space
         seconds = ScaledDecimal.from_float(2.95e66)
-        breakdown = convert_time(seconds, year_length_seconds=3.15576e7)
+        breakdown = convert_time(seconds)
         oracle = 10 ** (math.log10(2.95e66) - math.log10(3.15576e7) - 58)
         assert breakdown.years.exponent == 58
         assert abs(float(breakdown.years.mantissa) - oracle) <= 1e-9
@@ -285,23 +286,16 @@ class TestConvertTime:
         breakdown = convert_time(ScaledDecimal.from_float(1.234e20))
         assert rel_err(breakdown.hours * 3600.0, breakdown.seconds) <= 1e-12
         assert (
-            rel_err(breakdown.years * breakdown.year_length_seconds, breakdown.seconds)
+            rel_err(breakdown.years * JULIAN_YEAR_SECONDS, breakdown.seconds)
             <= 1e-12
         )
         assert (
             rel_err(
-                breakdown.universe_age_ratio * breakdown.universe_age_years,
+                breakdown.universe_age_ratio * UNIVERSE_AGE_YEARS,
                 breakdown.years,
             )
             <= 1e-12
         )
-
-    def test_rejects_nonpositive_constants(self):
-        seconds = ScaledDecimal.from_int(1)
-        with pytest.raises(ValueError):
-            convert_time(seconds, year_length_seconds=0.0)
-        with pytest.raises(ValueError):
-            convert_time(seconds, universe_age_years=-1.0)
 
 
 class TestCorpusCensus:
@@ -335,12 +329,6 @@ class TestCorpusCensus:
             "newlines_excluded": 1486,
             "whitespace_collapsed": 1520,
             "letters_and_space": 1430,
-        }
-        assert report.matches == {
-            "raw": True,
-            "newlines_excluded": False,
-            "whitespace_collapsed": True,
-            "letters_and_space": False,
         }
 
     def test_report_lines_mention_every_normalization(self):

@@ -18,6 +18,17 @@ TABLE_ARGS = [
 ]
 
 
+# Every manifest key is pinned for one run of each file-emitting command.
+MANIFEST_PINS = {
+    "census": ["census", "--bundled-hamlet"],
+    "prob": ["prob", "--alphabet-size", "2", "--length", "1"],
+    "project": ["project", *TABLE_ARGS],
+    "report": ["report", "--use-paper-data"],
+    "simulate": ["simulate", "--target", "abab", "--alphabet", "ab", "--max-prefix", "3",
+                 "--iterations", "5", "--seed", "21", "--no-timing"],
+}
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -352,3 +363,29 @@ class TestReport:
         assert "summary.txt" in manifest["outputs"]
         for name in manifest["outputs"]:
             assert (tmp_path / name).exists()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", sorted(MANIFEST_PINS))
+    def test_manifest_matches_pin(self, tmp_path, command):
+        assert run([*MANIFEST_PINS[command], "--out", tmp_path]) == 0
+        pin = (GOLDEN / "manifests" / f"{command}.json").read_text()
+        assert read(tmp_path, "manifest.json") == pin
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == json.loads(pin)["outputs"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--use-paper-data", "--prob-alphabet-size", "0"],
+            ["report", "--target", "To be", "--max-prefix", "1", "--iterations", "2"],
+        ],
+        ids=["bad-prob-alphabet", "one-prefix"],
+    )
+    def test_failing_command_writes_nothing(self, tmp_path, argv, capsys):
+        # the error surfaces after projection or simulation has run, but
+        # before any file is written
+        out_dir = tmp_path / "D"
+        assert run([*argv, "--out", out_dir]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ATTEMPTS_BASE, PHRASE
 from monkeytyper import (
@@ -123,6 +125,38 @@ class TestMeasurementTable:
         assert lengths == [1, 2]
         assert attempts == [4.0, 20.0]
         assert times == [0.2, 0.6000000000000001]
+
+    @given(
+        data=st.data(),
+        prefix_lengths=st.lists(
+            st.integers(1, 60), min_size=1, max_size=6, unique=True
+        ).map(sorted),
+        iterations=st.integers(1, 5),
+        include_timing=st.booleans(),
+    )
+    @settings(max_examples=100)
+    def test_csv_round_trip_is_exact(self, data, prefix_lengths, iterations, include_timing):
+        elapsed = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+        rows = [
+            [
+                TrialRecord(
+                    n,
+                    data.draw(st.integers(1, 10**12)),
+                    data.draw(elapsed),
+                    data.draw(st.integers(0, 2**64 - 1)),
+                )
+                for n in prefix_lengths
+            ]
+            for _ in range(iterations)
+        ]
+        table = MeasurementTable.from_trials(prefix_lengths, rows)
+        lengths, attempts, times = read_measurement_csv(
+            table.to_csv(include_timing=include_timing)
+        )
+        assert lengths == list(table.prefix_lengths)
+        assert attempts == list(table.attempts_averages)
+        expected_times = table.time_averages if include_timing else (0.0,) * len(lengths)
+        assert times == list(expected_times)
 
     def test_read_recomputes_when_no_average_rows(self):
         text = "\n".join(

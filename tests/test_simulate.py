@@ -20,7 +20,7 @@ from monkeytyper import (
     run_prefix_trial,
 )
 from monkeytyper import simulate
-from monkeytyper.simulate import STREAM_VERSION, _batch_rows
+from monkeytyper.simulate import _batch_rows
 
 AB = Alphabet("ab")
 
@@ -124,10 +124,6 @@ class TestRunPrefixTrial:
         rec = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=2)
         assert rec.completed is False
         assert rec.attempts == 2
-
-    def test_records_carry_the_stream_version(self):
-        rec = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0))
-        assert rec.stream_version == STREAM_VERSION == 2
 
     def test_candidate_space_is_capped_at_2_to_the_64(self):
         # 2^64 candidates still fit a uint64 key; 2^65 cannot
