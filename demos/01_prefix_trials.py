@@ -1,9 +1,11 @@
 """Run a small seeded prefix-trial experiment and inspect the raw numbers.
 
 A trial generates fresh random candidates until one equals the target
-prefix; attempts are counted exactly, successful candidate included. Every
-trial gets its own stream derived from (seed, iteration, prefix length), so
-the attempt matrix below is reproducible bit for bit on any machine.
+prefix; attempts are counted exactly, successful candidate included.
+Consecutive trials of one prefix length share a stream derived from (seed,
+first iteration of their block, prefix length), each trial one gap between
+matches, so the attempt matrix below is reproducible bit for bit on any
+machine.
 """
 
 from monkeytyper import (

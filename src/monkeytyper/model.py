@@ -110,10 +110,12 @@ class TargetText:
 class TrialRecord:
     """One prefix-matching trial: attempts made and wall-clock time spent.
 
-    ``seed`` is the derived 64-bit value that reproduces this trial's
-    character stream on its own. ``completed`` is False when the trial hit
-    its attempt budget before matching; ``attempts`` then holds the count
-    so far.
+    ``seed`` keys the stream of the trial's block (stream version 3: the
+    trials of one prefix length share a stream in blocks of consecutive
+    iterations, see :mod:`monkeytyper.simulate`); with the trial's place in
+    its block it reproduces the trial. ``completed`` is False when the trial
+    hit its attempt budget before matching; ``attempts`` then holds the
+    count so far.
     """
 
     prefix_length: int
@@ -132,13 +134,21 @@ class TrialRecord:
 
 
 # CSV schemas. ``--no-timing`` zeroes a measurement table's elapsed_seconds.
-MEASUREMENT_CSV_HEADER = ("test", "prefix_len", "attempts", "elapsed_seconds", "seed")
+MEASUREMENT_CSV_HEADER = (
+    "test", "prefix_len", "attempts", "elapsed_seconds", "seed", "completed"
+)
 PROJECTION_CSV_HEADER = ("prefix_len", "text_part", "attempts", "seconds", "hours", "region")
 
 
 @dataclass(frozen=True)
 class MeasurementTable:
-    """A full experiment matrix (iterations x prefix lengths) plus column means."""
+    """A full experiment matrix (iterations x prefix lengths) plus column means.
+
+    A budget-capped trial has not finished, so a column's mean is its total
+    attempts (and total seconds) over its completed trials: the censored
+    geometric estimate, equal to the plain mean when every trial completed.
+    A column with no completed trial has no estimate and is rejected.
+    """
 
     prefix_lengths: tuple[int, ...]
     trials: tuple[tuple[TrialRecord, ...], ...]  # trials[iteration][column]
@@ -164,14 +174,21 @@ class MeasurementTable:
                     raise ValueError(
                         f"record for prefix {rec.prefix_length} in column {n}"
                     )
-        count = len(rows)
+        columns = list(zip(*rows))
+        completed = [sum(rec.completed for rec in column) for column in columns]
+        for n, count in zip(prefix_lengths, completed):
+            if count == 0:
+                raise ValueError(
+                    f"no trial of prefix length {n} completed within its attempt "
+                    f"budget, so its mean attempts cannot be estimated"
+                )
         attempts_avg = tuple(
-            sum(row[j].attempts for row in rows) / count
-            for j in range(len(prefix_lengths))
+            sum(rec.attempts for rec in column) / count
+            for column, count in zip(columns, completed)
         )
         time_avg = tuple(
-            sum(row[j].elapsed_seconds for row in rows) / count
-            for j in range(len(prefix_lengths))
+            sum(rec.elapsed_seconds for rec in column) / count
+            for column, count in zip(columns, completed)
         )
         return cls(prefix_lengths, tuple(tuple(r) for r in rows), attempts_avg, time_avg)
 
@@ -189,11 +206,13 @@ class MeasurementTable:
         ]
 
     def to_csv(self, include_timing: bool = True) -> str:
-        """Serialize as ``test,prefix_len,attempts,elapsed_seconds,seed`` rows.
+        """Serialize as ``test,prefix_len,attempts,elapsed_seconds,seed,completed`` rows.
 
-        Trial rows come first in (test, prefix) order, then one ``average``
-        row per prefix length. With ``include_timing=False`` every elapsed
-        value is written as 0 so repeated runs are byte-identical.
+        Trial rows come first in (test, prefix) order, with ``completed``
+        1 or 0, then one ``average`` row per prefix length, whose
+        ``completed`` is the number of completed trials the mean divides by.
+        With ``include_timing=False`` every elapsed value is written as 0 so
+        repeated runs are byte-identical.
         """
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -201,10 +220,15 @@ class MeasurementTable:
         for i, row in enumerate(self.trials, start=1):
             for rec in row:
                 elapsed = repr(rec.elapsed_seconds) if include_timing else "0"
-                writer.writerow([i, rec.prefix_length, rec.attempts, elapsed, rec.seed])
+                writer.writerow(
+                    [i, rec.prefix_length, rec.attempts, elapsed, rec.seed, int(rec.completed)]
+                )
         for j, n in enumerate(self.prefix_lengths):
             elapsed = repr(self.time_averages[j]) if include_timing else "0"
-            writer.writerow(["average", n, repr(self.attempts_averages[j]), elapsed, ""])
+            completed = sum(row[j].completed for row in self.trials)
+            writer.writerow(
+                ["average", n, repr(self.attempts_averages[j]), elapsed, "", completed]
+            )
         return buf.getvalue()
 
 
@@ -212,8 +236,10 @@ def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]
     """Extract (prefix_lengths, attempts_averages, time_averages) from CSV text.
 
     Accepts both this package's measurement CSV and the bundled published
-    matrix (which has no seed column). Average rows are used when present;
-    otherwise column means are recomputed from the trial rows.
+    matrix (which has no seed or completed column). Average rows are used
+    when present; otherwise column means are recomputed from the trial rows
+    as totals over completed trials, a row without ``completed`` counting
+    as completed.
     """
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
@@ -224,7 +250,7 @@ def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]
         raise ValueError(f"measurements file lacks columns: {sorted(missing)}")
 
     averages: dict[int, tuple[float, float]] = {}
-    trials: dict[int, list[tuple[float, float]]] = {}
+    totals: dict[int, list[float]] = {}  # attempts, seconds, completed trials
     for row in reader:
         n = int(row["prefix_len"])
         attempts = float(row["attempts"])
@@ -232,7 +258,10 @@ def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]
         if row["test"] == "average":
             averages[n] = (attempts, elapsed)
         else:
-            trials.setdefault(n, []).append((attempts, elapsed))
+            total = totals.setdefault(n, [0.0, 0.0, 0])
+            total[0] += attempts
+            total[1] += elapsed
+            total[2] += int(row.get("completed") or 1)
     if averages:
         lengths = sorted(averages)
         return (
@@ -240,13 +269,16 @@ def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]
             [averages[n][0] for n in lengths],
             [averages[n][1] for n in lengths],
         )
-    if not trials:
+    if not totals:
         raise ValueError("measurements file contains no data rows")
-    lengths = sorted(trials)
+    lengths = sorted(totals)
+    for n in lengths:
+        if totals[n][2] == 0:
+            raise ValueError(f"no trial of prefix length {n} completed")
     return (
         lengths,
-        [sum(a for a, _ in trials[n]) / len(trials[n]) for n in lengths],
-        [sum(e for _, e in trials[n]) / len(trials[n]) for n in lengths],
+        [totals[n][0] / totals[n][2] for n in lengths],
+        [totals[n][1] / totals[n][2] for n in lengths],
     )
 
 

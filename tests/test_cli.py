@@ -62,7 +62,7 @@ class TestSimulate:
     def test_manifest_records_stream_version(self, tmp_path):
         run(["simulate", "--target", "a", "--alphabet", "a", "--max-prefix", "1",
              "--iterations", "1", "--out", tmp_path])
-        assert '"stream_version": 2' in read(tmp_path, "manifest.json")
+        assert '"stream_version": 3' in read(tmp_path, "manifest.json")
 
     def test_candidate_space_above_2_to_the_64_exits_2(self, tmp_path, capsys):
         # 53^12 > 2^64: no trial can finish, so nothing runs or is written
@@ -72,6 +72,19 @@ class TestSimulate:
         )
         assert code == 2
         assert "2^64" in capsys.readouterr().err
+        assert not (tmp_path / "measurements.csv").exists()
+
+    def test_column_without_a_completed_trial_exits_2(self, tmp_path, capsys):
+        # at seed 1 no trial finishes within 5 attempts, so a column mean
+        # would be budget-capped counts averaged as if they had finished;
+        # the run fails naming the column and writes nothing
+        code = run(
+            ["simulate", "--target", "To be", "--alphabet", "letters+space",
+             "--max-prefix", "2", "--iterations", "3", "--budget", "5", "--seed", "1",
+             "--out", tmp_path]
+        )
+        assert code == 2
+        assert "prefix length 1 completed" in capsys.readouterr().err
         assert not (tmp_path / "measurements.csv").exists()
 
     def test_out_of_alphabet_character_named_in_diagnostic(self, tmp_path, capsys):
@@ -347,7 +360,7 @@ class TestReport:
         paper = json.loads(read(tmp_path / "paper", "manifest.json"))["config"]
         fresh = json.loads(read(tmp_path / "fresh", "manifest.json"))["config"]
         assert "stream_version" not in paper
-        assert fresh["stream_version"] == 2
+        assert fresh["stream_version"] == 3
 
     def test_fresh_default_alphabet_bundle_under_a_minute(self, tmp_path):
         # expected work is about 10 * (53 + 53^2 + 53^3) candidate generations

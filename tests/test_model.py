@@ -111,9 +111,37 @@ class TestMeasurementTable:
     def test_csv_layout(self):
         text = self.make().to_csv()
         lines = text.splitlines()
-        assert lines[0] == "test,prefix_len,attempts,elapsed_seconds,seed"
-        assert lines[1] == "1,1,3,0.1,1"
-        assert lines[-2:] == ["average,1,4.0,0.2,", "average,2,20.0,0.6000000000000001,"]
+        assert lines[0] == "test,prefix_len,attempts,elapsed_seconds,seed,completed"
+        assert lines[1] == "1,1,3,0.1,1,1"
+        assert lines[-2:] == [
+            "average,1,4.0,0.2,,2",
+            "average,2,20.0,0.6000000000000001,,2",
+        ]
+
+    def test_censored_trials_average_over_completed_ones(self):
+        # a budget-capped trial adds its attempts and seconds to the column
+        # totals but not to the count it divides by
+        rows = [
+            [_record(1, 3, 0.1), _record(2, 10, 0.4)],
+            [_record(1, 5, 0.3), TrialRecord(2, 30, 0.8, 1, completed=False)],
+        ]
+        table = MeasurementTable.from_trials([1, 2], rows)
+        assert table.attempts_averages == (4.0, 40.0)
+        assert table.time_averages == (0.2, 0.4 + 0.8)
+        lines = table.to_csv().splitlines()
+        assert lines[4] == "2,2,30,0.8,1,0"
+        assert lines[-1] == f"average,2,40.0,{0.4 + 0.8!r},,1"
+        assert read_measurement_csv(table.to_csv())[1] == [4.0, 40.0]
+        trial_rows = "\n".join(lines[:-2])
+        assert read_measurement_csv(trial_rows)[1] == [4.0, 40.0]
+
+    def test_column_without_a_completed_trial_is_rejected(self):
+        rows = [[_record(1, 3), TrialRecord(2, 10, 0.4, 1, completed=False)]]
+        with pytest.raises(ValueError, match="prefix length 2 completed"):
+            MeasurementTable.from_trials([1, 2], rows)
+        text = "test,prefix_len,attempts,elapsed_seconds,completed\n1,1,4,0.1,0\n"
+        with pytest.raises(ValueError, match="prefix length 1 completed"):
+            read_measurement_csv(text)
 
     def test_csv_without_timing_zeroes_elapsed(self):
         text = self.make().to_csv(include_timing=False)
@@ -144,19 +172,29 @@ class TestMeasurementTable:
                     data.draw(st.integers(1, 10**12)),
                     data.draw(elapsed),
                     data.draw(st.integers(0, 2**64 - 1)),
+                    # the first iteration completes, so every column has a mean
+                    i == 0 or data.draw(st.booleans()),
                 )
                 for n in prefix_lengths
             ]
-            for _ in range(iterations)
+            for i in range(iterations)
         ]
         table = MeasurementTable.from_trials(prefix_lengths, rows)
-        lengths, attempts, times = read_measurement_csv(
-            table.to_csv(include_timing=include_timing)
-        )
+        text = table.to_csv(include_timing=include_timing)
+        lengths, attempts, times = read_measurement_csv(text)
         assert lengths == list(table.prefix_lengths)
         assert attempts == list(table.attempts_averages)
         expected_times = table.time_averages if include_timing else (0.0,) * len(lengths)
         assert times == list(expected_times)
+        # the completed column: one flag per trial, the divisor on average rows
+        records = [rec for row in rows for rec in row]
+        lines = text.splitlines()[1:]
+        assert [line.rsplit(",", 1)[1] for line in lines[: len(records)]] == [
+            str(int(rec.completed)) for rec in records
+        ]
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[len(records):]] == [
+            sum(row[j].completed for row in rows) for j in range(len(prefix_lengths))
+        ]
 
     def test_read_recomputes_when_no_average_rows(self):
         text = "\n".join(
@@ -181,7 +219,10 @@ class TestMeasurementTable:
         assert times[0] == 0.0 and times[4] == 1097.5
 
     def test_incomplete_cells(self):
-        rows = [[_record(1, 3), TrialRecord(2, 10, 0.4, 1, completed=False)]]
+        rows = [
+            [_record(1, 3), TrialRecord(2, 10, 0.4, 1, completed=False)],
+            [_record(1, 3), _record(2, 7)],
+        ]
         table = MeasurementTable.from_trials([1, 2], rows)
         assert table.incomplete_cells() == [(1, 2)]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 from collections import Counter
 
@@ -20,7 +21,7 @@ from monkeytyper import (
     run_prefix_trial,
 )
 from monkeytyper import simulate
-from monkeytyper.simulate import _batch_rows
+from monkeytyper.simulate import _block_size, _prefix_key, _run_block
 
 AB = Alphabet("ab")
 
@@ -165,10 +166,11 @@ class TestRunPrefixTrial:
 def decode_then_compare_trial(target, n, alphabet, rng, budget):
     """Reference trial: decode every drawn integer into its n big-endian
     base-A digits in plain Python and compare the string with the prefix.
-    The kernel must agree with it draw for draw."""
+    The kernel must agree with it draw for draw. It draws in batches of its
+    own size: the drawn sequence does not depend on the partition."""
     prefix = target.text[:n]
     size = alphabet.size
-    batch = _batch_rows(size, n)
+    batch = 4096
     attempts = 0
     while True:
         rows = batch if budget is None else min(batch, budget - attempts)
@@ -220,6 +222,78 @@ class TestIntegerCandidateMatch:
         assert (rec.attempts, rec.completed, rec.seed) == expected
 
 
+def reference_block(prefix, alphabet, seed, trials, budget):
+    """Reference block: cut one long draw_codes array of RngStream(seed)
+    into trials, taking one candidate at a time. A candidate matches when
+    its n big-endian base-A digits, decoded in plain Python, spell the
+    prefix; a trial ends at a match, or incomplete after ``budget``
+    candidates, and the next trial starts at the following candidate."""
+    n, size = len(prefix), alphabet.size
+
+    def spelled(value):
+        digits = []
+        for _ in range(n):
+            value, digit = divmod(value, size)
+            digits.append(digit)
+        return alphabet.decode(reversed(digits))
+
+    matching = {value for value in range(size**n) if spelled(value) == prefix}
+    # a sum of geometric waits runs past 40 times its mean with odds far
+    # below 1e-12, and a budget bounds every trial
+    length = 40 * trials * size**n + 1000
+    if budget is not None:
+        length = min(length, trials * budget)
+    found, attempts = [], 0
+    for value in RngStream(seed).draw_codes(length, size**n):
+        attempts += 1
+        if int(value) in matching:
+            found.append((attempts, True))
+            attempts = 0
+        elif attempts == budget:
+            found.append((attempts, False))
+            attempts = 0
+        if len(found) == trials:
+            return found
+    raise AssertionError("reference stream too short")
+
+
+class TestBlockKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.integers(1, 6),
+        n=st.integers(1, 4),
+        trials=st.integers(1, 50),
+        seed=st.integers(0, 2**64 - 1),
+        budget=st.one_of(
+            st.none(), st.just(1), st.integers(2, 8), st.integers(1, 10**6)
+        ),
+    )
+    def test_agrees_with_one_candidate_at_a_time(self, data, size, n, trials, seed, budget):
+        alphabet = Alphabet("abcdef"[:size])
+        text = data.draw(st.text(alphabet=alphabet.symbols, min_size=n, max_size=n))
+        key, space = _prefix_key(TargetText(text), n, alphabet)
+        records = _run_block(n, key, space, RngStream(seed), trials, budget)
+        assert [(rec.attempts, rec.completed) for rec in records] == reference_block(
+            text, alphabet, seed, trials, budget
+        )
+        assert {(rec.prefix_length, rec.seed) for rec in records} == {(n, seed)}
+
+    def test_elapsed_is_the_block_time_shared_by_attempts(self):
+        key, space = _prefix_key(TargetText("ab"), 2, AB)
+        records = _run_block(2, key, space, RngStream(4), 40, None)
+        rates = [rec.elapsed_seconds / rec.attempts for rec in records]
+        assert max(rates) - min(rates) <= 1e-9 * max(rates)
+
+    def test_block_size_is_part_of_the_stream_contract(self):
+        # K_n = max(1, 2^16 // A^n)
+        assert _block_size(53, 1) == 1236
+        assert _block_size(53, 2) == 23
+        assert _block_size(53, 3) == 1
+        assert (_block_size(2, 15), _block_size(2, 16)) == (2, 1)
+        assert _block_size(1, 4) == 2**16
+
+
 class TestRunExperiment:
     def config(self, **overrides):
         defaults = dict(
@@ -260,6 +334,40 @@ class TestRunExperiment:
             [(rec.attempts, rec.seed) for rec in row] for row in serial.trials
         ] == [[(rec.attempts, rec.seed) for rec in row] for row in threaded.trials]
 
+    def test_blocks_are_independent_of_workers_and_of_the_iteration_count(self):
+        # K_2 = 23 over 53 symbols: 60 iterations make blocks at 1, 24, 47
+        config = ExperimentConfig(
+            target=TargetText("To"), alphabet=LETTERS_AND_SPACE,
+            max_prefix_length=2, iterations=60, seed=8,
+        )
+        cells = lambda table: [  # noqa: E731
+            [(rec.attempts, rec.seed, rec.completed) for rec in row] for row in table.trials
+        ]
+        serial = cells(run_experiment(config))
+        assert serial == cells(run_experiment(dataclasses.replace(config, worker_count=3)))
+        assert serial[:30] == cells(run_experiment(dataclasses.replace(config, iterations=30)))
+        firsts = [1] * 23 + [24] * 23 + [47] * 14
+        assert [row[1][1] for row in serial] == [
+            derive_trial_seed(8, first, 2) for first in firsts
+        ]
+        assert {row[0][1] for row in serial} == {derive_trial_seed(8, 1, 1)}
+
+    def test_single_trial_blocks_keep_stream_version_2(self):
+        # K_3 = 1 over 53 symbols: every prefix-3 cell is the version-2 trial
+        # of its own derived seed, with the attempts the version-2 code gave
+        config = ExperimentConfig(
+            target=TargetText("To be"), alphabet=LETTERS_AND_SPACE,
+            max_prefix_length=3, iterations=10, seed=42,
+        )
+        column = [row[2] for row in run_experiment(config).trials]
+        assert [rec.attempts for rec in column] == [
+            251360, 296949, 18075, 301164, 34185, 80185, 161458, 19804, 364546, 298909
+        ]
+        for i, rec in enumerate(column, start=1):
+            stream = RngStream(derive_trial_seed(42, i, 3))
+            alone = run_prefix_trial(config.target, 3, LETTERS_AND_SPACE, stream)
+            assert (rec.attempts, rec.seed) == (alone.attempts, stream.seed)
+
     def test_out_of_alphabet_target_is_an_error_by_default(self):
         cfg = self.config(target=TargetText("a,"), alphabet=Alphabet("a"))
         with pytest.raises(AlphabetMismatchError, match="','"):
@@ -277,10 +385,13 @@ class TestRunExperiment:
         assert table.prefix_lengths == (1, 2)
 
     def test_budget_exhaustion_flags_cells_and_keeps_partials(self):
+        # one candidate per trial: the prefix-2 block draws 2, 1, 2 (key 1)
         table = run_experiment(self.config(attempt_budget=1))
-        assert table.incomplete_cells() == [(1, 2), (2, 2), (3, 2)]
+        assert table.incomplete_cells() == [(1, 2), (3, 2)]
         for iteration, n in table.incomplete_cells():
             assert table.trials[iteration - 1][n - 1].attempts == 1
+        # the censored cells count in the total, not in the divisor
+        assert table.attempts_averages == (1.0, 3.0)
 
     def test_candidate_space_above_2_to_the_64_fails_before_any_trial(
         self, monkeypatch
@@ -288,7 +399,7 @@ class TestRunExperiment:
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial started")
 
-        monkeypatch.setattr(simulate, "run_prefix_trial", no_trial)
+        monkeypatch.setattr(simulate, "_run_block", no_trial)
         cfg = self.config(
             target=TargetText("a" * 65), max_prefix_length=65, attempt_budget=1
         )
@@ -296,10 +407,12 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_trial_seed_alone_reproduces_a_cell(self):
+        # iteration 2 is the second trial of its block: the second gap
+        # between matches of "ab" in the block's stream
         table = run_experiment(self.config())
         rec = table.trials[1][1]
-        replay = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(rec.seed))
-        assert replay.attempts == rec.attempts
+        replay = reference_block("ab", AB, rec.seed, 2, None)[1]
+        assert replay == (rec.attempts, True)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
