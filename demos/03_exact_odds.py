@@ -10,7 +10,6 @@ without overflow or exponent saturation.
 from monkeytyper import (
     ScaledDecimal,
     expected_attempts,
-    scaled_from_log10,
     success_probability,
 )
 
@@ -30,7 +29,3 @@ print(f"float(P_1520) underflows to {float(success_probability(52, 1520))}")
 product = p * e
 assert product == ScaledDecimal.from_int(1)
 print(f"P * E = {product}")
-
-# Round trips through log10 hold to twelve digits even at huge exponents.
-x = success_probability(52, 1520)
-print(f"round trip of {x}: {scaled_from_log10(x.log10())}")

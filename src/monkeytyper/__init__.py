@@ -39,7 +39,7 @@ from .model import (
     TrialRecord,
     alphabet_preset,
 )
-from .scaled import ScaledDecimal, scaled_from_log10, scaled_int_pow
+from .scaled import ScaledDecimal, scaled_int_pow
 from .simulate import (
     ExperimentConfig,
     RngStream,
@@ -83,7 +83,6 @@ __all__ = [
     "published_averages",
     "run_experiment",
     "run_prefix_trial",
-    "scaled_from_log10",
     "scaled_int_pow",
     "success_probability",
 ]

@@ -27,15 +27,11 @@ SECONDS_PER_HOUR = 3600.0
 def success_probability(alphabet_size: int, n: int) -> ScaledDecimal:
     """P(one uniform length-``n`` candidate equals a fixed target) = A^-n.
 
-    Computed as the reciprocal of the exact integer power, so the decimal
-    exponent is exact even at n = 1520 (where it reaches -2609).
+    Computed as the reciprocal of :func:`expected_attempts`, the exact integer
+    power, so the decimal exponent is exact even at n = 1520 (where it
+    reaches -2609).
     """
-    if alphabet_size < 1:
-        raise ValueError("alphabet_size must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    power = scaled_int_pow(alphabet_size, n)
-    return ScaledDecimal.from_int(1) / power
+    return ScaledDecimal.from_int(1) / expected_attempts(alphabet_size, n)
 
 
 def expected_attempts(alphabet_size: int, n: int) -> ScaledDecimal:
@@ -94,7 +90,7 @@ def project_series(
         raise ValueError("cannot project from an empty base series")
     if total_length < len(base):
         raise ValueError(
-            f"total_length {total_length} shorter than base of {len(base)}"
+            f"projection length {total_length} shorter than base of {len(base)}"
         )
     for v in base:
         if v <= 0:
@@ -109,12 +105,6 @@ def project_series(
 def build_projection_table(model: GrowthModel, target: TargetText) -> ProjectionTable:
     """One row per prefix of the target: measured rows echo the base verbatim."""
     base_len = len(model.attempts_base)
-    if base_len == 0:
-        raise ValueError("growth model has an empty base series")
-    if target.length < base_len:
-        raise ValueError(
-            f"target length {target.length} shorter than base of {base_len}"
-        )
     attempts = project_series(
         model.attempts_base, model.attempts_growth_factor, target.length
     )
@@ -156,14 +146,6 @@ def convert_time(seconds: ScaledDecimal) -> TimeBreakdown:
         universe_age_ratio=years / UNIVERSE_AGE_YEARS,
     )
 
-
-#: Census normalizations, applied independently; ``raw`` bounds the others.
-CENSUS_NORMALIZATIONS = (
-    "raw",
-    "newlines_excluded",
-    "whitespace_collapsed",
-    "letters_and_space",
-)
 
 @dataclass(frozen=True)
 class CensusReport:

@@ -128,8 +128,14 @@ def _projection_outputs(
 # -- simulate ---------------------------------------------------------------
 
 
-def _simulate(args, alphabet: Alphabet) -> MeasurementTable:
-    """Run the trial matrix the flags describe."""
+def _simulate(args, alphabet: Alphabet) -> tuple[MeasurementTable, Alphabet]:
+    """Run the trial matrix the flags describe; return it and the alphabet drawn from.
+
+    ``--extend-alphabet`` appends the characters of the trialled prefixes
+    that ``alphabet`` lacks.
+    """
+    if args.extend_alphabet:
+        alphabet = alphabet.extended_with(args.target[: args.max_prefix])
     config = ExperimentConfig(
         target=TargetText(args.target),
         alphabet=alphabet,
@@ -138,14 +144,13 @@ def _simulate(args, alphabet: Alphabet) -> MeasurementTable:
         seed=args.seed,
         attempt_budget=args.budget,
         worker_count=args.workers,
-        auto_extend_alphabet=args.extend_alphabet,
     )
-    return run_experiment(config)
+    return run_experiment(config), alphabet
 
 
 def cmd_simulate(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
-    table = _simulate(args, alphabet)
+    table, _ = _simulate(args, alphabet)
     csv_text = table.to_csv(include_timing=not args.no_timing)
     config = {**vars(args), "alphabet": alphabet.symbols, "stream_version": STREAM_VERSION}
     _write_outputs(args.out, "simulate", config, {"measurements.csv": csv_text})
@@ -258,7 +263,9 @@ def cmd_report(args) -> int:
         times_base = [float(v) for v in published["seconds"]]
         summary.append("base data: published per-prefix averages (ten trials, prefixes 1..5)")
     else:
-        table = _simulate(args, alphabet)
+        # from here on, the alphabet the trials drew from (the manifest
+        # keeps the parsed one)
+        table, alphabet = _simulate(args, alphabet)
         config["stream_version"] = STREAM_VERSION
         files["measurements.csv"] = table.to_csv(include_timing=not args.no_timing)
         attempts_base = list(table.attempts_averages)
@@ -336,7 +343,7 @@ def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--extend-alphabet",
         action="store_true",
-        help="auto-extend the alphabet with target characters it lacks",
+        help="append the characters of the trialled prefixes the alphabet lacks",
     )
 
 

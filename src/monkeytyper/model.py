@@ -235,11 +235,9 @@ class MeasurementTable:
 def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]]:
     """Extract (prefix_lengths, attempts_averages, time_averages) from CSV text.
 
-    Accepts both this package's measurement CSV and the bundled published
-    matrix (which has no seed or completed column). Average rows are used
-    when present; otherwise column means are recomputed from the trial rows
-    as totals over completed trials, a row without ``completed`` counting
-    as completed.
+    Reads the ``average`` rows, one per prefix length, that end every
+    measurement CSV this package writes and the bundled published matrix;
+    trial rows are skipped. A file without ``average`` rows is rejected.
     """
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
@@ -248,38 +246,17 @@ def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]
     missing = required - set(reader.fieldnames)
     if missing:
         raise ValueError(f"measurements file lacks columns: {sorted(missing)}")
-
-    averages: dict[int, tuple[float, float]] = {}
-    totals: dict[int, list[float]] = {}  # attempts, seconds, completed trials
-    for row in reader:
-        n = int(row["prefix_len"])
-        attempts = float(row["attempts"])
-        elapsed = float(row["elapsed_seconds"])
-        if row["test"] == "average":
-            averages[n] = (attempts, elapsed)
-        else:
-            total = totals.setdefault(n, [0.0, 0.0, 0])
-            total[0] += attempts
-            total[1] += elapsed
-            total[2] += int(row.get("completed") or 1)
-    if averages:
-        lengths = sorted(averages)
-        return (
-            lengths,
-            [averages[n][0] for n in lengths],
-            [averages[n][1] for n in lengths],
+    averages = {
+        int(row["prefix_len"]): (float(row["attempts"]), float(row["elapsed_seconds"]))
+        for row in reader
+        if row["test"] == "average"
+    }
+    if not averages:
+        raise ValueError(
+            "measurements file has no average rows (test=average, one per prefix length)"
         )
-    if not totals:
-        raise ValueError("measurements file contains no data rows")
-    lengths = sorted(totals)
-    for n in lengths:
-        if totals[n][2] == 0:
-            raise ValueError(f"no trial of prefix length {n} completed")
-    return (
-        lengths,
-        [totals[n][0] / totals[n][2] for n in lengths],
-        [totals[n][1] / totals[n][2] for n in lengths],
-    )
+    lengths = sorted(averages)
+    return lengths, [averages[n][0] for n in lengths], [averages[n][1] for n in lengths]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ float would suffer. ``mantissa`` (in ``[1, 10)``) and ``exponent`` read a
 value back as ``mantissa * 10**exponent``; ``to_string`` prints it as
 ``<mantissa>e<exponent>``.
 
-Only the arithmetic this domain needs is provided: construction from
-``log10`` / ints / floats, multiplication, division, integer powers, and
-``log10`` back out. This is deliberately not a general bignum library.
+Only the arithmetic this domain needs is provided: construction from ints
+and floats, multiplication, division, integer powers, and ``log10`` out.
+This is deliberately not a general bignum library.
 
 ``log10`` is the float log of the mantissa plus the exact exponent. It is
 within one ulp of ``max(1, |log10|)`` of the correctly rounded value, and
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 
 #: Working precision in significant decimal digits. The published tables carry
 #: 3-4 significant figures; 36 digits makes our own rounding error irrelevant.
@@ -129,16 +129,6 @@ def _coerce(value) -> ScaledDecimal:
     if isinstance(value, float):
         return ScaledDecimal.from_float(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as ScaledDecimal")
-
-
-def scaled_from_log10(l: float) -> ScaledDecimal:
-    """Return ``10**l`` with the fractional part resolved at full precision."""
-    exact = Decimal(l)  # float-to-Decimal conversion is exact
-    if not exact.is_finite():
-        raise ValueError(f"non-finite log10 value {l!r}")
-    whole = exact.to_integral_value(rounding=ROUND_FLOOR)
-    mantissa = _CTX.power(10, _CTX.subtract(exact, whole))
-    return ScaledDecimal(_CTX.scaleb(mantissa, whole))
 
 
 def scaled_int_pow(base: int, exp: int) -> ScaledDecimal:

@@ -233,7 +233,11 @@ def run_prefix_trial(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a measurement run needs, seed included."""
+    """Everything a measurement run needs, seed included.
+
+    Trials draw from ``alphabet`` as given; ``Alphabet.extended_with`` builds
+    one that covers the target.
+    """
 
     target: TargetText
     alphabet: Alphabet
@@ -242,7 +246,6 @@ class ExperimentConfig:
     seed: int = 0
     attempt_budget: Optional[int] = DEFAULT_ATTEMPT_BUDGET
     worker_count: int = 1
-    auto_extend_alphabet: bool = False
 
     def __post_init__(self):
         if not 1 <= self.max_prefix_length <= self.target.length:
@@ -259,20 +262,6 @@ class ExperimentConfig:
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
 
-    def effective_alphabet(self) -> Alphabet:
-        """The alphabet trials will draw from, auto-extended when opted in.
-
-        Without the opt-in, a target prefix containing out-of-alphabet
-        characters is a hard error; the trial could never succeed.
-        """
-        covered = self.target.text[: self.max_prefix_length]
-        missing = self.alphabet.missing_from(covered)
-        if not missing:
-            return self.alphabet
-        if self.auto_extend_alphabet:
-            return self.alphabet.extended_with(covered)
-        raise AlphabetMismatchError(missing, context=f"target prefix {covered!r}")
-
 
 def run_experiment(config: ExperimentConfig) -> MeasurementTable:
     """Run the full iteration x prefix-length trial matrix.
@@ -282,16 +271,16 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
     not trials, are scheduled on ``worker_count`` threads. Blocks do not
     depend on the worker count, and results are assembled in canonical
     order, so the attempts matrix is identical for any ``worker_count`` and
-    any scheduling. Every prefix is validated, and one whose candidate space
-    exceeds ``2^64`` rejected, before any trial.
+    any scheduling. Every prefix is validated before any trial: one with a
+    character outside ``config.alphabet``, or whose candidate space exceeds
+    ``2^64``, is rejected.
     """
-    alphabet = config.effective_alphabet()
     prefix_lengths = range(1, config.max_prefix_length + 1)
-    keys = {n: _prefix_key(config.target, n, alphabet) for n in prefix_lengths}
+    keys = {n: _prefix_key(config.target, n, config.alphabet) for n in prefix_lengths}
     blocks = [
         (n, first, min(size, config.iterations + 1 - first))
         for n in prefix_lengths
-        for size in [_block_size(alphabet.size, n)]
+        for size in [_block_size(config.alphabet.size, n)]
         for first in range(1, config.iterations + 1, size)
     ]
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import ATTEMPTS_BASE, PHRASE, TIMES_BASE, rel_err, rel_err_float
 from monkeytyper import (
+    GrowthModel,
     ScaledDecimal,
     TargetText,
     build_projection_table,
@@ -252,6 +253,10 @@ class TestBuildProjectionTable:
     def test_target_shorter_than_base_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             build_projection_table(self.model(), TargetText("To"))
+
+    def test_empty_base_rejected(self):
+        with pytest.raises(ValueError, match="empty base"):
+            build_projection_table(GrowthModel((), (), 2.0, 2.0), TargetText("To"))
 
     def test_log10_series_matches_rows(self):
         table = build_projection_table(self.model(), TargetText("To be"))

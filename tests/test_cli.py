@@ -1,14 +1,17 @@
 import decimal
 import json
 import re
+import shlex
 import time
 from pathlib import Path
 
 import pytest
 
+from monkeytyper import Alphabet, ExperimentConfig, TargetText, cli, run_experiment
 from monkeytyper.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 TABLE_ARGS = [
     "--attempts",
@@ -121,12 +124,24 @@ class TestSimulate:
 
     def test_extend_alphabet_flag(self, tmp_path):
         code = run(
-            ["simulate", "--target", "a,", "--alphabet", "a", "--max-prefix", "2",
-             "--iterations", "1", "--extend-alphabet", "--out", tmp_path]
+            ["simulate", "--target", "a,b.", "--alphabet", "ab", "--max-prefix", "3",
+             "--iterations", "4", "--seed", "5", "--no-timing", "--extend-alphabet",
+             "--out", tmp_path]
         )
         assert code == 0
         manifest = json.loads(read(tmp_path, "manifest.json"))
         assert manifest["config"]["extend_alphabet"] is True
+        assert manifest["config"]["alphabet"] == "ab"
+        # the flag is Alphabet.extended_with on the trialled prefixes, nothing more
+        config = ExperimentConfig(
+            target=TargetText("a,b."),
+            alphabet=Alphabet("ab").extended_with("a,b"),
+            max_prefix_length=3,
+            iterations=4,
+            seed=5,
+        )
+        expected = run_experiment(config).to_csv(include_timing=False)
+        assert read(tmp_path, "measurements.csv") == expected
 
 
 class TestProject:
@@ -210,6 +225,14 @@ class TestProject:
         code = run(["project", *flags, "--out", tmp_path / "proj"])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_measurements_without_average_rows_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "measurements.csv"
+        csv_path.write_text("test,prefix_len,attempts,elapsed_seconds\n1,1,4,0.1\n1,2,30,0.2\n")
+        code = run(["project", "--measurements", csv_path, "--out", tmp_path / "proj"])
+        assert code == 2
+        assert "no average rows" in capsys.readouterr().err
+        assert not (tmp_path / "proj").exists()
 
     def test_requires_two_base_points(self, tmp_path, capsys):
         code = run(["project", "--attempts", "60", "--times", "0.1", "--out", tmp_path])
@@ -353,6 +376,26 @@ class TestReport:
         assert "fresh simulation, seed 21" in summary
         assert "measured throughput" in summary
 
+    def test_extend_alphabet_reaches_the_throughput_measurement(self, tmp_path, monkeypatch):
+        # the throughput line must describe the alphabet the trials drew from
+        seen = []
+
+        def spy(alphabet, *args, **kwargs):
+            seen.append(alphabet.symbols)
+            return 1e6
+
+        monkeypatch.setattr(cli, "measure_throughput", spy)
+        code = run(
+            ["report", "--target", "ab,", "--alphabet", "ab", "--extend-alphabet",
+             "--max-prefix", "3", "--iterations", "2", "--out", tmp_path]
+        )
+        assert code == 0
+        assert seen == ["ab,"]
+        assert "average,3," in read(tmp_path, "measurements.csv")
+        # the manifest keeps the parsed alphabet next to the flag
+        config = json.loads(read(tmp_path, "manifest.json"))["config"]
+        assert (config["alphabet"], config["extend_alphabet"]) == ("ab", True)
+
     def test_stream_version_recorded_only_when_simulating(self, tmp_path):
         run(["report", "--use-paper-data", "--out", tmp_path / "paper"])
         run(["report", "--target", "abab", "--alphabet", "ab", "--max-prefix", "2",
@@ -402,3 +445,23 @@ class TestOutputs:
         assert run([*argv, "--out", out_dir]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The commands of README's "Command line" block, continuations joined."""
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip()]
+
+
+@pytest.mark.slow
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # the documented chain, simulate -> project --measurements included
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["monkeytyper", name]
+        for name in ("simulate", "project", "project", "prob", "census", "report")
+    ]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

@@ -132,16 +132,11 @@ class TestMeasurementTable:
         assert lines[4] == "2,2,30,0.8,1,0"
         assert lines[-1] == f"average,2,40.0,{0.4 + 0.8!r},,1"
         assert read_measurement_csv(table.to_csv())[1] == [4.0, 40.0]
-        trial_rows = "\n".join(lines[:-2])
-        assert read_measurement_csv(trial_rows)[1] == [4.0, 40.0]
 
     def test_column_without_a_completed_trial_is_rejected(self):
         rows = [[_record(1, 3), TrialRecord(2, 10, 0.4, 1, completed=False)]]
         with pytest.raises(ValueError, match="prefix length 2 completed"):
             MeasurementTable.from_trials([1, 2], rows)
-        text = "test,prefix_len,attempts,elapsed_seconds,completed\n1,1,4,0.1,0\n"
-        with pytest.raises(ValueError, match="prefix length 1 completed"):
-            read_measurement_csv(text)
 
     def test_csv_without_timing_zeroes_elapsed(self):
         text = self.make().to_csv(include_timing=False)
@@ -196,19 +191,19 @@ class TestMeasurementTable:
             sum(row[j].completed for row in rows) for j in range(len(prefix_lengths))
         ]
 
-    def test_read_recomputes_when_no_average_rows(self):
+    def test_read_rejects_a_file_without_average_rows(self):
         text = "\n".join(
             line
             for line in self.make().to_csv().splitlines()
             if not line.startswith("average")
         )
-        lengths, attempts, _ = read_measurement_csv(text)
-        assert lengths == [1, 2] and attempts == [4.0, 20.0]
+        with pytest.raises(ValueError, match="no average rows"):
+            read_measurement_csv(text)
 
     def test_read_rejects_wrong_columns(self):
         with pytest.raises(ValueError, match="lacks columns"):
             read_measurement_csv("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="no data rows"):
+        with pytest.raises(ValueError, match="no average rows"):
             read_measurement_csv("test,prefix_len,attempts,elapsed_seconds\n")
 
     def test_bundled_published_matrix(self):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import rel_err
 from monkeytyper import (
     ScaledDecimal,
-    scaled_from_log10,
     scaled_int_pow,
     success_probability,
 )
@@ -20,36 +19,6 @@ exponents = st.integers(min_value=-3000, max_value=3000)
 
 def build(mantissa: float, exponent: int) -> ScaledDecimal:
     return ScaledDecimal(Decimal(f"{mantissa!r}e{exponent}"))
-
-
-class TestFromLog10:
-    def test_zero_log_is_one(self):
-        x = scaled_from_log10(0)
-        assert x.mantissa == 1 and x.exponent == 0
-
-    def test_integer_log_is_power_of_ten(self):
-        x = scaled_from_log10(2)
-        assert x.mantissa == 1 and x.exponent == 2
-
-    def test_negative_log_matches_high_precision_oracle(self):
-        # oracle: exponentiate the fractional part at 50 digits
-        x = scaled_from_log10(-70.3561)
-        with localcontext() as ctx:
-            ctx.prec = 50
-            expected = Decimal(10) ** (Decimal(-70.3561) + 71)
-        assert x.exponent == -71
-        assert abs(x.mantissa / expected - 1) < Decimal("1e-30")
-        assert x.to_string(4) == "4.405e-71"
-
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
-            scaled_from_log10(bad)
-
-    @given(mantissa=mantissas, exponent=exponents)
-    def test_round_trip_through_log10(self, mantissa, exponent):
-        x = build(mantissa, exponent)
-        assert rel_err(scaled_from_log10(x.log10()), x) <= 1e-12
 
 
 @st.composite

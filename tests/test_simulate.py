@@ -373,17 +373,6 @@ class TestRunExperiment:
         with pytest.raises(AlphabetMismatchError, match="','"):
             run_experiment(cfg)
 
-    def test_opt_in_alphabet_extension(self):
-        cfg = self.config(
-            target=TargetText("a,"),
-            alphabet=Alphabet("a"),
-            auto_extend_alphabet=True,
-            iterations=1,
-        )
-        assert cfg.effective_alphabet().symbols == "a,"
-        table = run_experiment(cfg)
-        assert table.prefix_lengths == (1, 2)
-
     def test_budget_exhaustion_flags_cells_and_keeps_partials(self):
         # one candidate per trial: the prefix-2 block draws 2, 1, 2 (key 1)
         table = run_experiment(self.config(attempt_budget=1))
