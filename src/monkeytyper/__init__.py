@@ -37,7 +37,6 @@ from .model import (
     ProjectionTable,
     TargetText,
     TrialRecord,
-    alphabet_preset,
 )
 from .scaled import ScaledDecimal, scaled_int_pow
 from .simulate import (
@@ -68,7 +67,6 @@ __all__ = [
     "TargetText",
     "TimeBreakdown",
     "TrialRecord",
-    "alphabet_preset",
     "build_projection_table",
     "convert_time",
     "corpus_census",

@@ -36,10 +36,8 @@ def success_probability(alphabet_size: int, n: int) -> ScaledDecimal:
 
 def expected_attempts(alphabet_size: int, n: int) -> ScaledDecimal:
     """Mean geometric waiting time A^n: exactly 1 / success_probability."""
-    if alphabet_size < 1:
-        raise ValueError("alphabet_size must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if alphabet_size < 1 or n < 1:
+        raise ValueError("alphabet size and length must be positive")
     return scaled_int_pow(alphabet_size, n)
 
 

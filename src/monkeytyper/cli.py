@@ -3,9 +3,12 @@
 Every command that emits files writes them under ``--out`` together with a
 ``manifest.json`` recording the resolved configuration; re-running with that
 configuration reproduces all attempt-count outputs byte-identically (timing
-columns excluded, or zeroed up front with ``--no-timing``). Files are written
-only once the command's computation has succeeded, so a failing command
-leaves nothing under ``--out``.
+columns excluded, or zeroed up front with ``--no-timing``). ``--no-timing``
+zeroes only ``measurements.csv``: a simulating ``report`` still projects its
+seconds, hours, ``seconds_log10.csv`` and summary time lines from the trial
+clocks, so those differ from run to run. Files are written only once the
+command's computation has succeeded, so a failing command leaves nothing
+under ``--out``.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ from .analysis import (
     success_probability,
 )
 from .model import (
+    LETTERS,
+    LETTERS_AND_SPACE,
     Alphabet,
     GrowthModel,
     MeasurementTable,
     ProjectionTable,
     TargetText,
-    alphabet_preset,
     read_measurement_csv,
 )
 from .scaled import ScaledDecimal
@@ -52,10 +56,8 @@ SUMMARY_DIGITS = 3  # headline values match the published 3-significant-figure s
 
 def _parse_alphabet(spec: str) -> Alphabet:
     """A preset name (``letters``, ``letters+space``) or explicit symbols."""
-    try:
-        return alphabet_preset(spec)
-    except ValueError:
-        return Alphabet(spec)
+    presets = {"letters": LETTERS, "letters+space": LETTERS_AND_SPACE}
+    return presets[spec] if spec in presets else Alphabet(spec)
 
 
 def _write_outputs(out_dir: str, command: str, config: dict, files: dict[str, str]) -> None:
@@ -79,8 +81,6 @@ def _write_outputs(out_dir: str, command: str, config: dict, files: dict[str, st
 
 def _paper_style(x: ScaledDecimal) -> str:
     """Comma-decimal 3-significant-figure table style, e.g. ``2,68E+69``."""
-    if x.mantissa == 0:
-        return "0,00E+00"
     mantissa, exponent = x.to_string(3).split("e")
     return f"{mantissa.replace('.', ',')}E{int(exponent):+03d}"
 
@@ -206,8 +206,6 @@ def cmd_project(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    if args.alphabet_size < 1 or args.length < 1:
-        raise ValueError("--alphabet-size and --length must be positive")
     probability = success_probability(args.alphabet_size, args.length)
     attempts = expected_attempts(args.alphabet_size, args.length)
     lines = [
@@ -338,7 +336,8 @@ def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-timing",
         action="store_true",
-        help="zero the elapsed column for byte-stable output",
+        help="zero measurements.csv's elapsed column for byte-stable output "
+        "(report still projects seconds from the trial clocks)",
     )
     parser.add_argument(
         "--extend-alphabet",
@@ -361,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     proj = commands.add_parser("project", help="fit growth factors and extrapolate")
-    proj.add_argument("--measurements", help="measurements CSV to read base averages from")
-    proj.add_argument("--attempts", help="comma-separated attempts base list")
+    source = proj.add_mutually_exclusive_group(required=True)
+    source.add_argument("--measurements", help="measurements CSV to read base averages from")
+    source.add_argument("--attempts", help="comma-separated attempts base list")
     proj.add_argument("--times", help="comma-separated seconds base list")
     proj.add_argument("--target", default=data.HAMLET_PHRASE, help="target text")
     proj.add_argument(
@@ -419,9 +419,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "budget", None) == 0:
         args.budget = None
-    if args.command == "project" and args.measurements is None:
-        if args.attempts is None or args.times is None:
-            parser.error("project needs --measurements or both --attempts and --times")
+    if args.command == "project" and (args.attempts is None) != (args.times is None):
+        parser.error("--attempts and --times must be given together")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -43,12 +43,3 @@ def published_averages() -> dict:
     """
     return json.loads(_read_text("published_averages.json"))
 
-
-def published_trials_csv() -> str:
-    """Return the raw published trial matrix as CSV text.
-
-    Columns ``test,prefix_len,attempts,elapsed_seconds``; ten numbered
-    test rows per prefix length followed by ``test=average`` rows holding
-    the published (rounded) column averages.
-    """
-    return _read_text("published_trials.csv")

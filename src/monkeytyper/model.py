@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
@@ -50,11 +50,7 @@ class Alphabet:
 
     def missing_from(self, text: str) -> str:
         """Distinct characters of ``text`` not in this alphabet, in first-seen order."""
-        seen: list[str] = []
-        for c in text:
-            if c not in self._index and c not in seen:
-                seen.append(c)
-        return "".join(seen)
+        return "".join(dict.fromkeys(c for c in text if c not in self._index))
 
     def encode(self, text: str) -> np.ndarray:
         """Map text to symbol indices (uint32). Raises on unknown characters."""
@@ -77,18 +73,6 @@ LETTERS = Alphabet(string.ascii_letters)
 
 #: The 52 letters plus space: the alphabet the published trial code drew from.
 LETTERS_AND_SPACE = Alphabet(string.ascii_letters + " ")
-
-_PRESETS = {"letters": LETTERS, "letters+space": LETTERS_AND_SPACE}
-
-
-def alphabet_preset(name: str) -> Alphabet:
-    """Look up a named preset (``letters`` or ``letters+space``)."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown alphabet preset {name!r}; choose from {sorted(_PRESETS)}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -192,10 +176,6 @@ class MeasurementTable:
         )
         return cls(prefix_lengths, tuple(tuple(r) for r in rows), attempts_avg, time_avg)
 
-    @property
-    def iterations(self) -> int:
-        return len(self.trials)
-
     def incomplete_cells(self) -> list[tuple[int, int]]:
         """(iteration, prefix_length) pairs whose trial hit its budget."""
         return [
@@ -293,7 +273,7 @@ class ProjectionTable:
     """Per-prefix estimates: measured rows echo the base, the rest extrapolate."""
 
     target: str
-    rows: tuple[ProjectionRow, ...] = field(default_factory=tuple)
+    rows: tuple[ProjectionRow, ...]
 
     def __post_init__(self):
         for i, row in enumerate(self.rows, start=1):

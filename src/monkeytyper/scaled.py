@@ -1,6 +1,6 @@
 """Base-10 arithmetic for magnitudes far outside float range, on stdlib decimal.
 
-A :class:`ScaledDecimal` wraps one nonnegative :class:`~decimal.Decimal`.
+A :class:`ScaledDecimal` wraps one positive :class:`~decimal.Decimal`.
 Every operation runs in one module-level context: 36 significant digits and
 the widest exponent range the :mod:`decimal` module allows, so the decimal
 exponent stays an exact integer from success probabilities near 10^-2609 up
@@ -36,7 +36,7 @@ _CTX = Context(prec=PRECISION, Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 @dataclass(frozen=True, order=True)
 class ScaledDecimal:
-    """A nonnegative finite decimal with an exact exponent.
+    """A positive finite decimal with an exact exponent.
 
     Instances are immutable and safe to share between threads.
     """
@@ -46,29 +46,29 @@ class ScaledDecimal:
     def __post_init__(self):
         if not self.value.is_finite():
             raise ValueError(f"non-finite value {self.value!r}")
-        if self.value < 0:
-            raise ValueError("negative values are not representable")
+        if self.value <= 0:
+            raise ValueError(f"value must be positive, got {self.value}")
 
     @property
     def exponent(self) -> int:
-        """Position of the most significant digit; 0 for the value zero."""
-        return self.value.adjusted() if self.value else 0
+        """Position of the most significant digit."""
+        return self.value.adjusted()
 
     @property
     def mantissa(self) -> Decimal:
-        """The value scaled into ``[1, 10)``; 0 for the value zero."""
+        """The value scaled into ``[1, 10)``."""
         return _CTX.scaleb(self.value, -self.exponent)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_int(cls, value: int) -> "ScaledDecimal":
-        """A (possibly huge) nonnegative integer, rounded to the working precision."""
+        """A (possibly huge) positive integer, rounded to the working precision."""
         return cls(_CTX.create_decimal(value))
 
     @classmethod
     def from_float(cls, value: float) -> "ScaledDecimal":
-        """A nonnegative finite float, converted exactly, then rounded."""
+        """A positive finite float, converted exactly, then rounded."""
         return cls(_CTX.create_decimal_from_float(value))
 
     # -- arithmetic --------------------------------------------------------
@@ -87,8 +87,6 @@ class ScaledDecimal:
         The float log of the mantissa (which lies in ``[1, 10)``) plus the
         exact integer exponent.
         """
-        if not self.value:
-            raise ValueError("log10 of zero")
         return math.log10(self.mantissa) + self.exponent
 
     def __float__(self) -> float:
@@ -101,12 +99,10 @@ class ScaledDecimal:
         """Serialize as ``<mantissa>e<exponent>``, e.g. ``4.404e-71``.
 
         The mantissa is padded to exactly ``significant_digits`` digits so
-        output is byte-stable; zero serializes as ``"0"``.
+        output is byte-stable.
         """
         if significant_digits < 1:
             raise ValueError("significant_digits must be >= 1")
-        if not self.value:
-            return "0"
         # Round in a context of our own first: format() rounds in the
         # caller's thread-local context, and the rounded value formats exactly.
         rounded = _rounding_context(significant_digits).plus(self.value)

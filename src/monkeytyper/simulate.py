@@ -141,14 +141,6 @@ def _candidate_space(alphabet_size: int, length: int) -> int:
     return space
 
 
-def _key(codes: np.ndarray, alphabet_size: int) -> int:
-    """The integer whose big-endian base-``alphabet_size`` digits are ``codes``."""
-    key = 0
-    for code in codes:
-        key = key * alphabet_size + int(code)
-    return key
-
-
 def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> tuple[int, int]:
     """Validate a prefix of ``target``; return its key and its candidate space."""
     if not 1 <= prefix_length <= target.length:
@@ -160,7 +152,10 @@ def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> t
     if missing:
         raise AlphabetMismatchError(missing, context=f"target prefix {prefix!r}")
     space = _candidate_space(alphabet.size, prefix_length)
-    return _key(alphabet.encode(prefix), alphabet.size), space
+    key = 0
+    for code in alphabet.encode(prefix):
+        key = key * alphabet.size + int(code)
+    return key, space
 
 
 def _matches(rng: RngStream, key: int, space: int, rows: int) -> np.ndarray:
@@ -306,12 +301,13 @@ def measure_throughput(
 ) -> float:
     """Candidate generations per second for this alphabet and length.
 
-    Generates and compares candidates against a fixed prefix, through the
-    trial kernel's draw-and-match step, in whole batches until
+    Draws candidates and compares them with key 0 through the trial
+    kernel's draw-and-match step, in whole batches until
     ``duration_seconds`` have passed (at least one batch), and returns
-    count / elapsed. This is the preferred way to turn projected attempt
-    counts into projected durations: it sidesteps the noisy per-trial wall
-    clocks.
+    count / elapsed. Any key costs the same: one uniform draw and one
+    compare per candidate. This is the preferred way to turn projected
+    attempt counts into projected durations: it sidesteps the noisy
+    per-trial wall clocks.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -319,12 +315,11 @@ def measure_throughput(
         raise ValueError("duration_seconds must be positive")
 
     space = _candidate_space(alphabet.size, length)
-    key = _key(np.arange(length) % alphabet.size, alphabet.size)
     stream = RngStream(0)
     generated = 0
     start = time.perf_counter()
     while True:
-        _matches(stream, key, space, _MAX_BATCH)
+        _matches(stream, 0, space, _MAX_BATCH)
         generated += _MAX_BATCH
         elapsed = time.perf_counter() - start
         if elapsed >= duration_seconds:

@@ -207,7 +207,7 @@ def test_criterion_6_extended_five_character_prefix(capsys):
         seed=42,
     )
     table = run_experiment(config)
-    assert table.iterations == 10 and table.prefix_lengths == (1, 2, 3, 4, 5)
+    assert len(table.trials) == 10 and table.prefix_lengths == (1, 2, 3, 4, 5)
     mean = table.attempts_averages[4]
     expectation = 53**5
     band = 3 * expectation / 10**0.5

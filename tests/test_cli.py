@@ -2,6 +2,7 @@ import decimal
 import json
 import re
 import shlex
+import string
 import time
 from pathlib import Path
 
@@ -66,6 +67,21 @@ class TestSimulate:
         run(["simulate", "--target", "a", "--alphabet", "a", "--max-prefix", "1",
              "--iterations", "1", "--out", tmp_path])
         assert '"stream_version": 3' in read(tmp_path, "manifest.json")
+
+    @pytest.mark.parametrize(
+        "spec,symbols",
+        [
+            ("letters", string.ascii_letters),
+            ("letters+space", string.ascii_letters + " "),
+            ("ab", "ab"),
+        ],
+    )
+    def test_alphabet_spec_resolves_to_symbols(self, tmp_path, spec, symbols):
+        # a preset name, or else the explicit symbols
+        run(["simulate", "--target", "ab", "--alphabet", spec, "--max-prefix", "1",
+             "--iterations", "1", "--out", tmp_path])
+        manifest = json.loads(read(tmp_path, "manifest.json"))
+        assert manifest["config"]["alphabet"] == symbols
 
     def test_candidate_space_above_2_to_the_64_exits_2(self, tmp_path, capsys):
         # 53^12 > 2^64: no trial can finish, so nothing runs or is written
@@ -242,6 +258,27 @@ class TestProject:
     def test_requires_some_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             run(["project", "--out", tmp_path])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--measurements", "CSV", "--attempts", "60,3101", "--times", "0.1,1"],
+            ["--measurements", "CSV", "--times", "0.1,1"],
+            ["--attempts", "60,3101"],
+        ],
+        ids=["measurements-and-lists", "measurements-and-times", "attempts-alone"],
+    )
+    def test_conflicting_or_partial_inputs_exit_2(self, tmp_path, flags):
+        # lists next to --measurements were once ignored without a word
+        csv_path = tmp_path / "measurements.csv"
+        csv_path.write_text(
+            "test,prefix_len,attempts,elapsed_seconds\naverage,1,4.0,0.1\naverage,2,16.0,0.4\n"
+        )
+        flags = [csv_path if flag == "CSV" else flag for flag in flags]
+        with pytest.raises(SystemExit) as exc:
+            run(["project", *flags, "--out", tmp_path / "proj"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "proj").exists()
 
 
 class TestProb:
@@ -452,6 +489,12 @@ def _readme_commands() -> list[list[str]]:
     block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line) for line in lines if line.strip()]
+
+
+def test_readme_library_tour_prints_what_its_comments_promise(capsys):
+    block = README.read_text().split("## Library tour", 1)[1].split("```python", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    assert capsys.readouterr().out.splitlines()[1:] == ["2.680e69", "4.731e-2609"]
 
 
 @pytest.mark.slow

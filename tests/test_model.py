@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +15,7 @@ from monkeytyper import (
     ScaledDecimal,
     TargetText,
     TrialRecord,
-    alphabet_preset,
 )
-from monkeytyper.data import published_trials_csv
 from monkeytyper.model import ProjectionRow, ProjectionTable, read_measurement_csv
 
 
@@ -25,12 +25,6 @@ class TestAlphabet:
         assert LETTERS_AND_SPACE.size == 53
         assert LETTERS_AND_SPACE.symbols.startswith("abc")
         assert LETTERS_AND_SPACE.symbols.endswith("Z ")
-        assert alphabet_preset("letters") is LETTERS
-        assert alphabet_preset("letters+space") is LETTERS_AND_SPACE
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="unknown alphabet preset"):
-            alphabet_preset("runes")
 
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -95,7 +89,7 @@ class TestMeasurementTable:
         assert table.attempts_averages == (4.0, 20.0)
         assert table.time_averages == (0.2, 0.6000000000000001)
         for j in range(2):
-            mean = sum(row[j].attempts for row in table.trials) / table.iterations
+            mean = sum(row[j].attempts for row in table.trials) / len(table.trials)
             assert abs(table.attempts_averages[j] - mean) <= 1e-9 * mean
 
     def test_shape_validation(self):
@@ -207,7 +201,8 @@ class TestMeasurementTable:
             read_measurement_csv("test,prefix_len,attempts,elapsed_seconds\n")
 
     def test_bundled_published_matrix(self):
-        lengths, attempts, times = read_measurement_csv(published_trials_csv())
+        csv_text = resources.files("monkeytyper.data").joinpath("published_trials.csv")
+        lengths, attempts, times = read_measurement_csv(csv_text.read_text(encoding="utf-8"))
         assert lengths == [1, 2, 3, 4, 5]
         assert attempts == [float(v) for v in ATTEMPTS_BASE]
         # the published average row displays 0.000 s for prefix 1

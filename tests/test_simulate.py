@@ -316,7 +316,7 @@ class TestRunExperiment:
 
     def test_shape_matches_config(self):
         table = run_experiment(self.config())
-        assert table.iterations == 3
+        assert len(table.trials) == 3
         assert table.prefix_lengths == (1, 2)
         assert len(table.attempts_averages) == 2
 
