@@ -59,14 +59,22 @@ def growth_factor(values: Sequence[float]) -> float:
 def fit_growth_model(
     attempts_base: Sequence[float], times_base: Sequence[float]
 ) -> GrowthModel:
-    """Estimate both growth factors from measured per-prefix averages."""
+    """Estimate both growth factors from measured per-prefix averages.
+
+    Finite times of which one is zero or negative (``--no-timing`` zeroes
+    them; the published matrix shows 0.000 s at prefix 1) have no growth
+    factor: the model's ``time_growth_factor`` is None and nothing about
+    seconds is projected from it.
+    """
     if len(attempts_base) != len(times_base):
         raise ValueError("attempts and times series must have equal length")
+    attempts_factor = growth_factor(attempts_base)
+    untimed = all(map(math.isfinite, times_base)) and min(times_base) <= 0
     return GrowthModel(
         attempts_base=tuple(float(v) for v in attempts_base),
         times_base=tuple(float(v) for v in times_base),
-        attempts_growth_factor=growth_factor(attempts_base),
-        time_growth_factor=growth_factor(times_base),
+        attempts_growth_factor=attempts_factor,
+        time_growth_factor=None if untimed else growth_factor(times_base),
     )
 
 
@@ -101,12 +109,19 @@ def project_series(
 
 
 def build_projection_table(model: GrowthModel, target: TargetText) -> ProjectionTable:
-    """One row per prefix of the target: measured rows echo the base verbatim."""
+    """One row per prefix of the target: measured rows echo the base verbatim.
+
+    A model without a time growth factor leaves every row's seconds and
+    hours None.
+    """
     base_len = len(model.attempts_base)
     attempts = project_series(
         model.attempts_base, model.attempts_growth_factor, target.length
     )
-    seconds = project_series(model.times_base, model.time_growth_factor, target.length)
+    if model.time_growth_factor is None:
+        seconds = [None] * target.length
+    else:
+        seconds = project_series(model.times_base, model.time_growth_factor, target.length)
     rows = []
     for i in range(1, target.length + 1):
         region = "measured" if i <= base_len else "extrapolated"
@@ -117,7 +132,7 @@ def build_projection_table(model: GrowthModel, target: TargetText) -> Projection
                 text_part=target.text[:i],
                 attempts=attempts[i - 1],
                 seconds=sec,
-                hours=sec / SECONDS_PER_HOUR,
+                hours=None if sec is None else sec / SECONDS_PER_HOUR,
                 region=region,
             )
         )
@@ -184,7 +199,12 @@ def corpus_census(text: str) -> CensusReport:
 
 
 def log10_series(table: ProjectionTable) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
-    """(prefix_len, log10) pairs for attempts and for seconds, plot-ready."""
+    """(prefix_len, log10) pairs for attempts and for seconds, plot-ready.
+
+    The seconds series is empty when the table projects no seconds.
+    """
     attempts = [(row.prefix_len, row.attempts.log10()) for row in table.rows]
-    seconds = [(row.prefix_len, row.seconds.log10()) for row in table.rows]
+    seconds = [
+        (row.prefix_len, row.seconds.log10()) for row in table.rows if row.seconds is not None
+    ]
     return attempts, seconds

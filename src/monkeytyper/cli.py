@@ -3,12 +3,16 @@
 Every command that emits files writes them under ``--out`` together with a
 ``manifest.json`` recording the resolved configuration; re-running with that
 configuration reproduces all attempt-count outputs byte-identically (timing
-columns excluded, or zeroed up front with ``--no-timing``). ``--no-timing``
-zeroes only ``measurements.csv``: a simulating ``report`` still projects its
-seconds, hours, ``seconds_log10.csv`` and summary time lines from the trial
-clocks, so those differ from run to run. Files are written only once the
-command's computation has succeeded, so a failing command leaves nothing
-under ``--out``.
+columns excluded, or zeroed up front with ``--no-timing``).
+
+Seconds are projected only from base times that are all positive. When one
+is zero or negative (``--no-timing`` zeroes them all; the published matrix
+shows 0.000 s at prefix 1) attempts are still projected, but the seconds
+and hours, ``seconds_log10.csv``, the time lines and any throughput figure
+are left out, and stdout, ``summary.txt`` and the manifest say so. A
+simulating ``report --no-timing`` is therefore byte-stable as a whole.
+Files are written only once the command's computation has succeeded, so a
+failing command leaves nothing under ``--out``.
 """
 
 from __future__ import annotations
@@ -102,24 +106,38 @@ def _breakdown_lines(breakdown: TimeBreakdown) -> list[str]:
     ]
 
 
+#: What stdout, ``summary.txt`` and the manifest say when base times are not
+#: all positive, so no seconds are projected.
+SECONDS_OMITTED = "seconds projection omitted: a base time is not positive"
+
+
 def _projection_outputs(
     table: ProjectionTable, model: GrowthModel, paper_style: bool
 ) -> tuple[dict[str, str], list[str]]:
-    """Projection CSV/JSON and the plot series by file name, and printable lines."""
+    """Projection CSV/JSON and the plot series by file name, and printable lines.
+
+    Without a time growth factor there is no ``seconds_log10.csv`` and one
+    ``SECONDS_OMITTED`` line stands in for the time lines.
+    """
     fmt = _paper_style if paper_style else str
     attempts_pairs, seconds_pairs = log10_series(table)
     files = {
         "projection.csv": table.to_csv(fmt),
         "projection.json": json.dumps(table.to_json_rows(fmt), indent=2) + "\n",
         "attempts_log10.csv": _series_csv(attempts_pairs, "log10_attempts"),
-        "seconds_log10.csv": _series_csv(seconds_pairs, "log10_seconds"),
     }
     final = table.final
-    lines = [
-        f"growth factors: attempts {model.attempts_growth_factor:.3f}, "
-        f"time {model.time_growth_factor:.3f}",
+    factors = f"growth factors: attempts {model.attempts_growth_factor:.3f}"
+    attempts_line = (
         f"final row ({final.prefix_len} characters, {final.region}): "
-        f"attempts {final.attempts.to_string(SUMMARY_DIGITS)}",
+        f"attempts {final.attempts.to_string(SUMMARY_DIGITS)}"
+    )
+    if model.time_growth_factor is None:
+        return files, [factors, attempts_line, SECONDS_OMITTED]
+    files["seconds_log10.csv"] = _series_csv(seconds_pairs, "log10_seconds")
+    lines = [
+        f"{factors}, time {model.time_growth_factor:.3f}",
+        attempts_line,
         *_breakdown_lines(convert_time(final.seconds)),
     ]
     return files, lines
@@ -197,6 +215,8 @@ def cmd_project(args) -> int:
         "source": source,
         "paper_style": args.paper_style,
     }
+    if model.time_growth_factor is None:
+        config["seconds_projection"] = SECONDS_OMITTED
     _write_outputs(args.out, "project", config, files)
     print("\n".join(lines))
     return 0
@@ -267,7 +287,8 @@ def cmd_report(args) -> int:
         config["stream_version"] = STREAM_VERSION
         files["measurements.csv"] = table.to_csv(include_timing=not args.no_timing)
         attempts_base = list(table.attempts_averages)
-        times_base = list(table.time_averages)
+        # fit on the times measurements.csv holds: zeros under --no-timing
+        times_base = [0.0] * args.max_prefix if args.no_timing else list(table.time_averages)
         summary.append(
             f"base data: fresh simulation, seed {args.seed}, "
             f"{args.iterations} iterations, prefixes 1..{args.max_prefix}"
@@ -283,12 +304,15 @@ def cmd_report(args) -> int:
     projection_files, projection_lines = _projection_outputs(projection, model, args.paper_style)
     files.update(projection_files)
     summary += projection_lines
-
-    summary.append(
-        "for reference, the published study quotes 9.32e55 years and 6.75e45 "
-        "universe ages for this seconds value; neither follows from any "
-        "standard year length, so both are reported verbatim, not reproduced."
-    )
+    timed = model.time_growth_factor is not None
+    if timed:
+        summary.append(
+            "for reference, the published study quotes 9.32e55 years and 6.75e45 "
+            "universe ages for this seconds value; neither follows from any "
+            "standard year length, so both are reported verbatim, not reproduced."
+        )
+    else:
+        config["seconds_projection"] = SECONDS_OMITTED
 
     for n in (target.length, data.PUBLISHED_SOLILOQUY_LENGTH):
         p = success_probability(args.prob_alphabet_size, n)
@@ -297,7 +321,7 @@ def cmd_report(args) -> int:
             f"{p.to_string(SUMMARY_DIGITS)}"
         )
 
-    if not args.use_paper_data:
+    if timed and not args.use_paper_data:
         rate = measure_throughput(alphabet, args.max_prefix, duration_seconds=0.2)
         implied = projection.final.attempts / rate
         summary.append(
@@ -337,7 +361,7 @@ def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
         "--no-timing",
         action="store_true",
         help="zero measurements.csv's elapsed column for byte-stable output "
-        "(report still projects seconds from the trial clocks)",
+        "(report then projects attempts only)",
     )
     parser.add_argument(
         "--extend-alphabet",

@@ -11,9 +11,7 @@ import io
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
-
-import numpy as np
+from typing import Literal, Optional, Sequence
 
 from .scaled import ScaledDecimal
 
@@ -52,15 +50,12 @@ class Alphabet:
         """Distinct characters of ``text`` not in this alphabet, in first-seen order."""
         return "".join(dict.fromkeys(c for c in text if c not in self._index))
 
-    def encode(self, text: str) -> np.ndarray:
-        """Map text to symbol indices (uint32). Raises on unknown characters."""
+    def encode(self, text: str) -> list[int]:
+        """Map text to symbol indices. Raises on unknown characters."""
         missing = self.missing_from(text)
         if missing:
             raise AlphabetMismatchError(missing)
-        return np.array([self._index[c] for c in text], dtype=np.uint32)
-
-    def decode(self, codes: Iterable[int]) -> str:
-        return "".join(self.symbols[int(i)] for i in codes)
+        return [self._index[c] for c in text]
 
     def extended_with(self, chars: str) -> "Alphabet":
         """A new alphabet with any unknown ``chars`` appended, order preserved."""
@@ -128,6 +123,11 @@ PROJECTION_CSV_HEADER = ("prefix_len", "text_part", "attempts", "seconds", "hour
 class MeasurementTable:
     """A full experiment matrix (iterations x prefix lengths) plus column means.
 
+    The matrix is held by column, one per prefix length: ``attempts[j]``,
+    ``elapsed_seconds[j]``, ``seeds[j]`` and ``completed[j]`` list the trials
+    of ``prefix_lengths[j]`` in iteration order. ``trials`` is the same
+    matrix as rows of :class:`TrialRecord`, built on first access.
+
     A budget-capped trial has not finished, so a column's mean is its total
     attempts (and total seconds) over its completed trials: the censored
     geometric estimate, equal to the plain mean when every trial completed.
@@ -135,7 +135,10 @@ class MeasurementTable:
     """
 
     prefix_lengths: tuple[int, ...]
-    trials: tuple[tuple[TrialRecord, ...], ...]  # trials[iteration][column]
+    attempts: tuple[tuple[int, ...], ...]  # attempts[column][iteration]
+    elapsed_seconds: tuple[tuple[float, ...], ...]
+    seeds: tuple[tuple[int, ...], ...]
+    completed: tuple[tuple[bool, ...], ...]
     attempts_averages: tuple[float, ...]
     time_averages: tuple[float, ...]
 
@@ -143,46 +146,67 @@ class MeasurementTable:
     def from_trials(
         cls,
         prefix_lengths: Sequence[int],
-        rows: Sequence[Sequence[TrialRecord]],
+        attempts: Sequence[Sequence[int]],
+        elapsed_seconds: Sequence[Sequence[float]],
+        seeds: Sequence[Sequence[int]],
+        completed: Sequence[Sequence[bool]],
     ) -> "MeasurementTable":
+        """Build a table from its columns, one per prefix length, each in
+        iteration order."""
         prefix_lengths = tuple(prefix_lengths)
         if list(prefix_lengths) != sorted(set(prefix_lengths)):
             raise ValueError("prefix_lengths must be strictly increasing")
-        if not rows:
+        if prefix_lengths and prefix_lengths[0] < 1:
+            raise ValueError("prefix_length must be >= 1")
+        columns = [tuple(map(tuple, c)) for c in (attempts, elapsed_seconds, seeds, completed)]
+        if any(len(field) != len(prefix_lengths) for field in columns):
+            raise ValueError("every iteration must cover every prefix length")
+        iterations = len(columns[0][0]) if prefix_lengths else 0
+        if iterations == 0:
             raise ValueError("at least one test iteration required")
-        for row in rows:
-            if len(row) != len(prefix_lengths):
-                raise ValueError("every iteration must cover every prefix length")
-            for rec, n in zip(row, prefix_lengths):
-                if rec.prefix_length != n:
-                    raise ValueError(
-                        f"record for prefix {rec.prefix_length} in column {n}"
-                    )
-        columns = list(zip(*rows))
-        completed = [sum(rec.completed for rec in column) for column in columns]
-        for n, count in zip(prefix_lengths, completed):
+        if any(len(column) != iterations for field in columns for column in field):
+            raise ValueError("every iteration must cover every prefix length")
+        attempts, elapsed_seconds, seeds, completed = columns
+        if min(map(min, attempts)) < 1:
+            raise ValueError("attempts must be >= 1")
+        if any(e < 0 for column in elapsed_seconds for e in column):
+            raise ValueError("elapsed_seconds must be >= 0")
+        counts = [sum(column) for column in completed]
+        for n, count in zip(prefix_lengths, counts):
             if count == 0:
                 raise ValueError(
                     f"no trial of prefix length {n} completed within its attempt "
                     f"budget, so its mean attempts cannot be estimated"
                 )
-        attempts_avg = tuple(
-            sum(rec.attempts for rec in column) / count
-            for column, count in zip(columns, completed)
+        attempts_avg = tuple(sum(column) / count for column, count in zip(attempts, counts))
+        time_avg = tuple(sum(column) / count for column, count in zip(elapsed_seconds, counts))
+        return cls(
+            prefix_lengths, attempts, elapsed_seconds, seeds, completed, attempts_avg, time_avg
         )
-        time_avg = tuple(
-            sum(rec.elapsed_seconds for rec in column) / count
-            for column, count in zip(columns, completed)
-        )
-        return cls(prefix_lengths, tuple(tuple(r) for r in rows), attempts_avg, time_avg)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.attempts[0])
+
+    @cached_property
+    def trials(self) -> tuple[tuple[TrialRecord, ...], ...]:
+        """The matrix as rows of records, ``trials[iteration][column]``."""
+        columns = [
+            [TrialRecord(n, *cell) for cell in zip(*fields)]
+            for n, *fields in zip(
+                self.prefix_lengths, self.attempts, self.elapsed_seconds, self.seeds,
+                self.completed,
+            )
+        ]
+        return tuple(zip(*columns))
 
     def incomplete_cells(self) -> list[tuple[int, int]]:
         """(iteration, prefix_length) pairs whose trial hit its budget."""
         return [
-            (i + 1, rec.prefix_length)
-            for i, row in enumerate(self.trials)
-            for rec in row
-            if not rec.completed
+            (i + 1, n)
+            for i in range(self.iterations)
+            for n, column in zip(self.prefix_lengths, self.completed)
+            if not column[i]
         ]
 
     def to_csv(self, include_timing: bool = True) -> str:
@@ -197,17 +221,18 @@ class MeasurementTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(MEASUREMENT_CSV_HEADER)
-        for i, row in enumerate(self.trials, start=1):
-            for rec in row:
-                elapsed = repr(rec.elapsed_seconds) if include_timing else "0"
+        for i in range(self.iterations):
+            for j, n in enumerate(self.prefix_lengths):
+                elapsed = repr(self.elapsed_seconds[j][i]) if include_timing else "0"
                 writer.writerow(
-                    [i, rec.prefix_length, rec.attempts, elapsed, rec.seed, int(rec.completed)]
+                    [i + 1, n, self.attempts[j][i], elapsed, self.seeds[j][i],
+                     int(self.completed[j][i])]
                 )
         for j, n in enumerate(self.prefix_lengths):
             elapsed = repr(self.time_averages[j]) if include_timing else "0"
-            completed = sum(row[j].completed for row in self.trials)
             writer.writerow(
-                ["average", n, repr(self.attempts_averages[j]), elapsed, "", completed]
+                ["average", n, repr(self.attempts_averages[j]), elapsed, "",
+                 sum(self.completed[j])]
             )
         return buf.getvalue()
 
@@ -241,17 +266,22 @@ def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]
 
 @dataclass(frozen=True)
 class GrowthModel:
-    """Measured base series plus the estimated per-character growth factors."""
+    """Measured base series plus the estimated per-character growth factors.
+
+    ``time_growth_factor`` is None when the base times have none (one of
+    them is not positive); seconds are then not projected.
+    """
 
     attempts_base: tuple[float, ...]
     times_base: tuple[float, ...]
     attempts_growth_factor: float
-    time_growth_factor: float
+    time_growth_factor: Optional[float]
 
     def __post_init__(self):
         if len(self.attempts_base) != len(self.times_base):
             raise ValueError("base series must have equal length")
-        if self.attempts_growth_factor <= 0 or self.time_growth_factor <= 0:
+        factors = (self.attempts_growth_factor, self.time_growth_factor)
+        if any(f is not None and f <= 0 for f in factors):
             raise ValueError("growth factors must be positive")
 
 
@@ -260,11 +290,14 @@ Region = Literal["measured", "extrapolated"]
 
 @dataclass(frozen=True)
 class ProjectionRow:
+    """One prefix's estimates; ``seconds`` and ``hours`` are None when the
+    projection has no time growth factor."""
+
     prefix_len: int
     text_part: str
     attempts: ScaledDecimal
-    seconds: ScaledDecimal
-    hours: ScaledDecimal
+    seconds: Optional[ScaledDecimal]
+    hours: Optional[ScaledDecimal]
     region: Region
 
 
@@ -296,6 +329,8 @@ class ProjectionTable:
         """One dict per row; ``fmt`` maps a ScaledDecimal to its printed form.
 
         The default is the plain ``<mantissa>e<exponent>`` serialization.
+        Seconds and hours that were not projected stay None: ``null`` in
+        JSON, an empty CSV field.
         """
         fmt = fmt or str
         return [
@@ -303,8 +338,8 @@ class ProjectionTable:
                 "prefix_len": row.prefix_len,
                 "text_part": row.text_part,
                 "attempts": fmt(row.attempts),
-                "seconds": fmt(row.seconds),
-                "hours": fmt(row.hours),
+                "seconds": None if row.seconds is None else fmt(row.seconds),
+                "hours": None if row.hours is None else fmt(row.hours),
                 "region": row.region,
             }
             for row in self.rows

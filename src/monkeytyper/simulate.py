@@ -50,6 +50,14 @@ symbols per candidate. Manifests written under an earlier version reproduce
 only under it. ``STREAM_VERSION`` names the current stream; every manifest
 of a command that simulates records it. Wall-clock times are measured with a
 monotonic clock and are explicitly outside the determinism guarantee.
+
+Results are columns. A block comes back as plain lists, its trials'
+attempts and completed flags, plus its wall time; ``run_experiment``
+appends them to one column per prefix length and builds the
+:class:`~monkeytyper.model.MeasurementTable` from those columns. No
+:class:`~monkeytyper.model.TrialRecord` is built on the way: the table's
+``trials`` view builds the rows on first access, and ``run_prefix_trial``
+returns the one record of its one-trial block.
 """
 
 from __future__ import annotations
@@ -154,7 +162,7 @@ def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> t
     space = _candidate_space(alphabet.size, prefix_length)
     key = 0
     for code in alphabet.encode(prefix):
-        key = key * alphabet.size + int(code)
+        key = key * alphabet.size + code
     return key, space
 
 
@@ -165,42 +173,42 @@ def _matches(rng: RngStream, key: int, space: int, rows: int) -> np.ndarray:
 
 
 def _run_block(
-    prefix_length: int,
     key: int,
     space: int,
     rng: RngStream,
     trials: int,
     budget: Optional[int],
-) -> list[TrialRecord]:
+) -> tuple[list[int], list[bool], float]:
     """The first ``trials`` trials of the block drawn from ``rng``.
 
     They are the successive gaps between matches of ``key``, each cut short
-    after ``budget`` candidates (see the module docstring).
+    after ``budget`` candidates (see the module docstring). Returns plain
+    lists, the attempts and the completed flag of each trial in order, and
+    the block's wall-clock seconds; callers build records or table columns
+    from them.
     """
     limit = math.inf if budget is None else budget
-    found: list[tuple[int, bool]] = []  # (attempts, completed) per trial
+    attempts: list[int] = []
+    completed: list[bool] = []
     start = drawn = 0  # stream positions: the open trial's first candidate, the next draw
     clock = time.perf_counter()
-    while len(found) < trials:
-        left = trials - len(found)
+    while len(attempts) < trials:
+        left = trials - len(attempts)
         rows = min(_batch_rows(space, left), start + left * limit - drawn)
         hits = _matches(rng, key, space, rows) + drawn
         drawn += rows
         # The batch end closes, incomplete, every trial whose budget it passed.
         for position in [*hits.tolist(), drawn]:
-            while position - start >= limit and len(found) < trials:
-                found.append((budget, False))
+            while position - start >= limit and len(attempts) < trials:
+                attempts.append(budget)
+                completed.append(False)
                 start += budget
-            if position == drawn or len(found) == trials:
+            if position == drawn or len(attempts) == trials:
                 break
-            found.append((position - start + 1, True))
+            attempts.append(position - start + 1)
+            completed.append(True)
             start = position + 1
-    elapsed = time.perf_counter() - clock
-    total = sum(attempts for attempts, _ in found)
-    return [
-        TrialRecord(prefix_length, attempts, elapsed * attempts / total, rng.seed, completed)
-        for attempts, completed in found
-    ]
+    return attempts, completed, time.perf_counter() - clock
 
 
 def run_prefix_trial(
@@ -223,7 +231,8 @@ def run_prefix_trial(
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
     key, space = _prefix_key(target, prefix_length, alphabet)
-    return _run_block(prefix_length, key, space, rng, 1, budget)[0]
+    (attempts,), (completed,), elapsed = _run_block(key, space, rng, 1, budget)
+    return TrialRecord(prefix_length, attempts, elapsed, rng.seed, completed)
 
 
 @dataclass(frozen=True)
@@ -279,10 +288,10 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
         for first in range(1, config.iterations + 1, size)
     ]
 
-    def run_block(block: tuple[int, int, int]) -> list[TrialRecord]:
+    def run_block(block: tuple[int, int, int]) -> tuple[int, list[int], list[bool], float]:
         n, first, trials = block
         stream = RngStream(derive_trial_seed(config.seed, first, n))
-        return _run_block(n, *keys[n], stream, trials, config.attempt_budget)
+        return (stream.seed, *_run_block(*keys[n], stream, trials, config.attempt_budget))
 
     if config.worker_count == 1:
         results = list(map(run_block, blocks))
@@ -290,10 +299,16 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
         with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
             results = list(pool.map(run_block, blocks))
 
-    columns: dict[int, list[TrialRecord]] = {n: [] for n in prefix_lengths}
-    for (n, _, _), records in zip(blocks, results):
-        columns[n].extend(records)
-    return MeasurementTable.from_trials(prefix_lengths, list(zip(*columns.values())))
+    # One list per prefix length and field, in iteration order.
+    columns = {n: ([], [], [], []) for n in prefix_lengths}
+    for (n, _, _), (seed, attempts, completed, seconds) in zip(blocks, results):
+        column_attempts, column_elapsed, column_seeds, column_completed = columns[n]
+        total = sum(attempts)
+        column_attempts += attempts
+        column_elapsed += [seconds * a / total for a in attempts]
+        column_seeds += [seed] * len(attempts)
+        column_completed += completed
+    return MeasurementTable.from_trials(prefix_lengths, *zip(*columns.values()))
 
 
 def measure_throughput(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from monkeytyper import ScaledDecimal
+from monkeytyper import Alphabet, ScaledDecimal
 
 # Published per-prefix averages (ten trials each) that drive the projection
 # pipeline; identical to the bundled published_averages.json fixture.
@@ -10,6 +10,11 @@ ATTEMPTS_BASE = [60, 3101, 159174, 8096722, 345380940]
 TIMES_BASE = [0.0001, 0.006, 0.36, 22.355, 1097.5]
 
 PHRASE = "To be, or not to be, that is the Question"
+
+
+def decode(alphabet: Alphabet, codes) -> str:
+    """The text whose symbol indices are ``codes``: the inverse of ``Alphabet.encode``."""
+    return "".join(alphabet.symbols[int(i)] for i in codes)
 
 
 def rel_err(a: ScaledDecimal, b: ScaledDecimal) -> float:

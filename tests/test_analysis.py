@@ -250,6 +250,26 @@ class TestBuildProjectionTable:
             assert prev.attempts < row.attempts
             assert prev.seconds < row.seconds
 
+    def test_a_zero_base_time_projects_attempts_only(self):
+        # the published matrix shows 0.000 s at prefix 1, and --no-timing
+        # zeroes every time: no time growth factor, no seconds, no hours
+        times = [0.0, *TIMES_BASE[1:]]
+        model = fit_growth_model(ATTEMPTS_BASE, times)
+        assert model.time_growth_factor is None
+        assert model.times_base == tuple(times)
+        table = build_projection_table(model, TargetText(PHRASE))
+        assert rel_err_float(table.final.attempts, 2.68e69) <= 0.01
+        assert all(row.seconds is None and row.hours is None for row in table.rows)
+        attempts, seconds = log10_series(table)
+        assert len(attempts) == 41 and seconds == []
+        assert table.to_json_rows()[0]["seconds"] is None
+        assert table.to_csv().splitlines()[1] == "1,T,6.000e1,,,measured"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_base_time_still_fails(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_growth_model([1.0, 2.0], [0.0, bad])
+
     def test_target_shorter_than_base_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             build_projection_table(self.model(), TargetText("To"))

@@ -8,10 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from monkeytyper import Alphabet, ExperimentConfig, TargetText, cli, run_experiment
+from monkeytyper import (
+    Alphabet,
+    ExperimentConfig,
+    TargetText,
+    TrialRecord,
+    cli,
+    run_experiment,
+)
 from monkeytyper.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+PUBLISHED_TRIALS = Path(__file__).parents[1] / "src/monkeytyper/data/published_trials.csv"
 README = Path(__file__).parents[1] / "README.md"
 
 TABLE_ARGS = [
@@ -126,6 +134,30 @@ class TestSimulate:
             tmp_path / "b", "manifest.json"
         )
 
+    def test_matches_golden_measurements(self, tmp_path):
+        # three n = 2 blocks (K_2 = 23), budget carry-over, 19 incomplete cells
+        code = run(
+            ["simulate", "--target", "To be", "--alphabet", "letters+space",
+             "--max-prefix", "2", "--iterations", "50", "--seed", "42", "--budget", "3000",
+             "--no-timing", "--out", tmp_path]
+        )
+        assert code == 0
+        golden = (GOLDEN / "simulate" / "measurements.csv").read_bytes()
+        assert (tmp_path / "measurements.csv").read_bytes() == golden
+
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_builds_no_trial_records(self, tmp_path, monkeypatch, command):
+        # the table's columns carry every output; rows of records are only
+        # built when a caller asks for table.trials
+        built = []
+        monkeypatch.setattr(TrialRecord, "__post_init__", lambda rec: built.append(rec))
+        code = run(
+            [command, "--target", "To be", "--alphabet", "letters+space", "--max-prefix", "2",
+             "--iterations", "30", "--seed", "3", "--out", tmp_path]
+        )
+        assert code == 0
+        assert built == []
+
     def test_rerun_from_manifest_reproduces_attempts(self, tmp_path):
         run(["simulate", "--target", "abab", "--alphabet", "ab", "--max-prefix", "3",
              "--iterations", "4", "--seed", "99", "--no-timing", "--out", tmp_path / "a"])
@@ -211,6 +243,32 @@ class TestProject:
         assert code == 0
         rows = json.loads(read(tmp_path / "proj", "projection.json"))
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("source", ["simulate-no-timing", "published-matrix"])
+    def test_zero_base_times_project_attempts_only(self, tmp_path, capsys, source):
+        # both once exited 2 on the zero time
+        if source == "published-matrix":  # 0.000 s at prefix 1
+            csv_path = PUBLISHED_TRIALS
+            target, final = [], "attempts 2.68e69"
+        else:
+            run(["simulate", "--target", "abab", "--alphabet", "ab", "--max-prefix", "3",
+                 "--iterations", "5", "--no-timing", "--out", tmp_path / "sim"])
+            csv_path = tmp_path / "sim" / "measurements.csv"
+            target, final = ["--target", "abab"], "attempts "
+        capsys.readouterr()
+        code = run(["project", "--measurements", csv_path, *target, "--out", tmp_path / "proj"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert final in out
+        assert cli.SECONDS_OMITTED in out.splitlines()
+        assert ", time" not in out and "estimated" not in out
+        manifest = json.loads(read(tmp_path / "proj", "manifest.json"))
+        assert manifest["config"]["seconds_projection"] == cli.SECONDS_OMITTED
+        assert manifest["outputs"] == [
+            "attempts_log10.csv", "manifest.json", "projection.csv", "projection.json"
+        ]
+        rows = json.loads(read(tmp_path / "proj", "projection.json"))
+        assert {(row["seconds"], row["hours"]) for row in rows} == {(None, None)}
 
     def test_measurements_must_start_at_prefix_one(self, tmp_path, capsys):
         # prefixes 3..5 once projected as if they were 1..3
@@ -412,6 +470,25 @@ class TestReport:
         summary = read(tmp_path, "summary.txt")
         assert "fresh simulation, seed 21" in summary
         assert "measured throughput" in summary
+
+    def test_fresh_simulation_no_timing_bundles_are_byte_identical(self, tmp_path, capsys):
+        # fitted on the zeroed times: attempts only, no throughput figure
+        argv = ["report", "--target", "abab", "--alphabet", "ab", "--max-prefix", "3",
+                "--iterations", "5", "--seed", "21", "--no-timing"]
+        stdout = []
+        for sub in ("a", "b"):
+            assert run([*argv, "--out", tmp_path / sub]) == 0
+            stdout.append(capsys.readouterr().out)
+        names = json.loads(read(tmp_path / "a", "manifest.json"))["outputs"]
+        assert "seconds_log10.csv" not in names
+        for name in names:
+            assert read(tmp_path / "a", name) == read(tmp_path / "b", name), name
+        assert stdout[0] == stdout[1] == read(tmp_path / "a", "summary.txt")
+        summary = stdout[0]
+        assert cli.SECONDS_OMITTED in summary.splitlines()
+        assert "throughput" not in summary and "estimated" not in summary
+        manifest = json.loads(read(tmp_path / "a", "manifest.json"))
+        assert manifest["config"]["seconds_projection"] == cli.SECONDS_OMITTED
 
     def test_extend_alphabet_reaches_the_throughput_measurement(self, tmp_path, monkeypatch):
         # the throughput line must describe the alphabet the trials drew from

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ATTEMPTS_BASE, PHRASE
+from conftest import ATTEMPTS_BASE, PHRASE, decode
 from monkeytyper import (
     LETTERS,
     LETTERS_AND_SPACE,
@@ -34,7 +34,8 @@ class TestAlphabet:
 
     def test_encode_decode_round_trip(self):
         codes = LETTERS_AND_SPACE.encode("To be")
-        assert LETTERS_AND_SPACE.decode(codes) == "To be"
+        assert codes == [45, 14, 52, 1, 4]
+        assert decode(LETTERS_AND_SPACE, codes) == "To be"
 
     def test_encode_rejects_unknown_characters(self):
         with pytest.raises(AlphabetMismatchError, match="','"):
@@ -58,10 +59,6 @@ class TestTargetText:
             TargetText("")
 
 
-def _record(n, attempts, elapsed=0.5, seed=1):
-    return TrialRecord(n, attempts, elapsed, seed)
-
-
 class TestTrialRecord:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -76,13 +73,22 @@ class TestTrialRecord:
         assert not rec.completed and rec.attempts == 100
 
 
+def _table(attempts, elapsed=None, completed=None, prefix_lengths=None):
+    """A table from its attempts columns; by default every trial took 0.5 s,
+    has seed 1 and completed, and the prefix lengths are 1..k."""
+    fill = lambda value: [[value] * len(column) for column in attempts]  # noqa: E731
+    return MeasurementTable.from_trials(
+        prefix_lengths or range(1, len(attempts) + 1),
+        attempts,
+        fill(0.5) if elapsed is None else elapsed,
+        fill(1),
+        fill(True) if completed is None else completed,
+    )
+
+
 class TestMeasurementTable:
     def make(self):
-        rows = [
-            [_record(1, 3, 0.1), _record(2, 10, 0.4)],
-            [_record(1, 5, 0.3), _record(2, 30, 0.8)],
-        ]
-        return MeasurementTable.from_trials([1, 2], rows)
+        return _table([[3, 5], [10, 30]], elapsed=[[0.1, 0.3], [0.4, 0.8]])
 
     def test_averages_recompute(self):
         table = self.make()
@@ -94,13 +100,49 @@ class TestMeasurementTable:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="every prefix length"):
-            MeasurementTable.from_trials([1, 2], [[_record(1, 3)]])
-        with pytest.raises(ValueError, match="column"):
-            MeasurementTable.from_trials([1], [[_record(2, 3)]])
+            _table([[3]], prefix_lengths=[1, 2])
         with pytest.raises(ValueError, match="increasing"):
-            MeasurementTable.from_trials(
-                [2, 1], [[_record(2, 3), _record(1, 3)]]
-            )
+            _table([[3], [3]], prefix_lengths=[2, 1])
+        with pytest.raises(ValueError, match="prefix_length must be >= 1"):
+            _table([[3], [10]], prefix_lengths=[0, 1])
+        with pytest.raises(ValueError, match="at least one test iteration"):
+            _table([[], []])
+
+    @pytest.mark.parametrize(
+        "field,column,match",
+        [
+            ("attempts", [0, 5], "attempts must be >= 1"),
+            ("attempts", [10], "every prefix length"),
+            ("elapsed", [0.0, -0.1], "elapsed_seconds must be >= 0"),
+            ("elapsed", [0.1], "every prefix length"),
+            ("completed", [True], "every prefix length"),
+            ("completed", [False, False], "prefix length 2 completed"),
+        ],
+        ids=[
+            "attempts", "attempts-length", "elapsed", "elapsed-length", "completed-length",
+            "completed-none",
+        ],
+    )
+    def test_each_column_check(self, field, column, match):
+        # one bad second column; everything else is valid
+        columns = {
+            "attempts": [[3, 5], [10, 30]],
+            "elapsed": [[0.1, 0.3], [0.4, 0.8]],
+            "completed": [[True, True], [True, True]],
+        }
+        columns[field][1] = column
+        with pytest.raises(ValueError, match=match):
+            _table(columns["attempts"], columns["elapsed"], columns["completed"])
+
+    def test_trials_view_is_built_once_from_the_columns(self):
+        table = _table([[3, 5], [10, 30]], completed=[[True, True], [True, False]])
+        assert table.trials == (
+            (TrialRecord(1, 3, 0.5, 1), TrialRecord(2, 10, 0.5, 1)),
+            (TrialRecord(1, 5, 0.5, 1), TrialRecord(2, 30, 0.5, 1, completed=False)),
+        )
+        assert table.trials is table.trials
+        # the view is not part of the value
+        assert table == _table([[3, 5], [10, 30]], completed=[[True, True], [True, False]])
 
     def test_csv_layout(self):
         text = self.make().to_csv()
@@ -115,11 +157,11 @@ class TestMeasurementTable:
     def test_censored_trials_average_over_completed_ones(self):
         # a budget-capped trial adds its attempts and seconds to the column
         # totals but not to the count it divides by
-        rows = [
-            [_record(1, 3, 0.1), _record(2, 10, 0.4)],
-            [_record(1, 5, 0.3), TrialRecord(2, 30, 0.8, 1, completed=False)],
-        ]
-        table = MeasurementTable.from_trials([1, 2], rows)
+        table = _table(
+            [[3, 5], [10, 30]],
+            elapsed=[[0.1, 0.3], [0.4, 0.8]],
+            completed=[[True, True], [True, False]],
+        )
         assert table.attempts_averages == (4.0, 40.0)
         assert table.time_averages == (0.2, 0.4 + 0.8)
         lines = table.to_csv().splitlines()
@@ -128,9 +170,8 @@ class TestMeasurementTable:
         assert read_measurement_csv(table.to_csv())[1] == [4.0, 40.0]
 
     def test_column_without_a_completed_trial_is_rejected(self):
-        rows = [[_record(1, 3), TrialRecord(2, 10, 0.4, 1, completed=False)]]
         with pytest.raises(ValueError, match="prefix length 2 completed"):
-            MeasurementTable.from_trials([1, 2], rows)
+            _table([[3], [10]], completed=[[True], [False]])
 
     def test_csv_without_timing_zeroes_elapsed(self):
         text = self.make().to_csv(include_timing=False)
@@ -154,35 +195,39 @@ class TestMeasurementTable:
     @settings(max_examples=100)
     def test_csv_round_trip_is_exact(self, data, prefix_lengths, iterations, include_timing):
         elapsed = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
-        rows = [
+        columns = [
             [
-                TrialRecord(
-                    n,
+                (
                     data.draw(st.integers(1, 10**12)),
                     data.draw(elapsed),
                     data.draw(st.integers(0, 2**64 - 1)),
                     # the first iteration completes, so every column has a mean
                     i == 0 or data.draw(st.booleans()),
                 )
-                for n in prefix_lengths
+                for i in range(iterations)
             ]
-            for i in range(iterations)
+            for _ in prefix_lengths
         ]
-        table = MeasurementTable.from_trials(prefix_lengths, rows)
+        fields = [[list(field) for field in zip(*column)] for column in columns]
+        table = MeasurementTable.from_trials(prefix_lengths, *zip(*fields))
         text = table.to_csv(include_timing=include_timing)
         lengths, attempts, times = read_measurement_csv(text)
         assert lengths == list(table.prefix_lengths)
         assert attempts == list(table.attempts_averages)
         expected_times = table.time_averages if include_timing else (0.0,) * len(lengths)
         assert times == list(expected_times)
-        # the completed column: one flag per trial, the divisor on average rows
-        records = [rec for row in rows for rec in row]
+        # trial rows in (test, prefix) order, then the completed divisor on
+        # average rows
+        cells = [column[i] for i in range(iterations) for column in columns]
         lines = text.splitlines()[1:]
-        assert [line.rsplit(",", 1)[1] for line in lines[: len(records)]] == [
-            str(int(rec.completed)) for rec in records
+        assert [line.split(",")[2::2] for line in lines[: len(cells)]] == [
+            [str(a), str(seed)] for a, _, seed, _ in cells
         ]
-        assert [int(line.rsplit(",", 1)[1]) for line in lines[len(records):]] == [
-            sum(row[j].completed for row in rows) for j in range(len(prefix_lengths))
+        assert [line.rsplit(",", 1)[1] for line in lines[: len(cells)]] == [
+            str(int(done)) for *_, done in cells
+        ]
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[len(cells):]] == [
+            sum(done for *_, done in column) for column in columns
         ]
 
     def test_read_rejects_a_file_without_average_rows(self):
@@ -209,12 +254,12 @@ class TestMeasurementTable:
         assert times[0] == 0.0 and times[4] == 1097.5
 
     def test_incomplete_cells(self):
-        rows = [
-            [_record(1, 3), TrialRecord(2, 10, 0.4, 1, completed=False)],
-            [_record(1, 3), _record(2, 7)],
-        ]
-        table = MeasurementTable.from_trials([1, 2], rows)
-        assert table.incomplete_cells() == [(1, 2)]
+        table = _table(
+            [[3, 3, 4], [10, 7, 8]],
+            completed=[[True, True, False], [False, True, False]],
+        )
+        # in (iteration, prefix) order
+        assert table.incomplete_cells() == [(1, 2), (3, 1), (3, 2)]
 
 
 class TestGrowthModel:

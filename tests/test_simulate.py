@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import decode
 from monkeytyper import (
     LETTERS_AND_SPACE,
     Alphabet,
@@ -180,7 +181,7 @@ def decode_then_compare_trial(target, n, alphabet, rng, budget):
             for _ in range(n):
                 value, digit = divmod(value, size)
                 digits.append(digit)
-            if alphabet.decode(reversed(digits)) == prefix:
+            if decode(alphabet, reversed(digits)) == prefix:
                 return attempts + row + 1, True, rng.seed
         attempts += rows
         if budget is not None and attempts >= budget:
@@ -215,7 +216,7 @@ class TestIntegerCandidateMatch:
         first = int(RngStream(3).draw_codes(1, 3**4)[0])
         digits = [first // 3**k % 3 for k in (3, 2, 1, 0)]
         digits[3] = (digits[3] + 1) % 3
-        target = TargetText(alphabet.decode(digits))
+        target = TargetText(decode(alphabet, digits))
         rec = run_prefix_trial(target, 4, alphabet, RngStream(3), budget=None)
         expected = decode_then_compare_trial(target, 4, alphabet, RngStream(3), None)
         assert rec.attempts > 1
@@ -235,7 +236,7 @@ def reference_block(prefix, alphabet, seed, trials, budget):
         for _ in range(n):
             value, digit = divmod(value, size)
             digits.append(digit)
-        return alphabet.decode(reversed(digits))
+        return decode(alphabet, reversed(digits))
 
     matching = {value for value in range(size**n) if spelled(value) == prefix}
     # a sum of geometric waits runs past 40 times its mean with odds far
@@ -273,17 +274,21 @@ class TestBlockKernel:
         alphabet = Alphabet("abcdef"[:size])
         text = data.draw(st.text(alphabet=alphabet.symbols, min_size=n, max_size=n))
         key, space = _prefix_key(TargetText(text), n, alphabet)
-        records = _run_block(n, key, space, RngStream(seed), trials, budget)
-        assert [(rec.attempts, rec.completed) for rec in records] == reference_block(
+        attempts, completed, _ = _run_block(key, space, RngStream(seed), trials, budget)
+        assert list(zip(attempts, completed)) == reference_block(
             text, alphabet, seed, trials, budget
         )
-        assert {(rec.prefix_length, rec.seed) for rec in records} == {(n, seed)}
 
     def test_elapsed_is_the_block_time_shared_by_attempts(self):
-        key, space = _prefix_key(TargetText("ab"), 2, AB)
-        records = _run_block(2, key, space, RngStream(4), 40, None)
-        rates = [rec.elapsed_seconds / rec.attempts for rec in records]
-        assert max(rates) - min(rates) <= 1e-9 * max(rates)
+        config = ExperimentConfig(
+            target=TargetText("ab"), alphabet=AB, max_prefix_length=2, iterations=40, seed=4
+        )
+        table = run_experiment(config)
+        # K_n >= 2^14 over two symbols: each column is one block
+        for attempts, elapsed, seeds in zip(table.attempts, table.elapsed_seconds, table.seeds):
+            assert len(set(seeds)) == 1
+            rates = [e / a for a, e in zip(attempts, elapsed)]
+            assert max(rates) - min(rates) <= 1e-9 * max(rates)
 
     def test_block_size_is_part_of_the_stream_contract(self):
         # K_n = max(1, 2^16 // A^n)
