@@ -11,8 +11,12 @@ shows 0.000 s at prefix 1) attempts are still projected, but the seconds
 and hours, ``seconds_log10.csv``, the time lines and any throughput figure
 are left out, and stdout, ``summary.txt`` and the manifest say so. A
 simulating ``report --no-timing`` is therefore byte-stable as a whole.
-Files are written only once the command's computation has succeeded, so a
-failing command leaves nothing under ``--out``.
+
+Each ``cmd_*`` only computes: it returns the manifest configuration, the
+files by name, the stdout lines and then any stderr lines. :func:`main`
+alone writes the files (when ``--out`` is set) and prints after that, so a
+failing command leaves nothing under ``--out`` and prints only its
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__, data
 from .analysis import (
@@ -40,7 +45,6 @@ from .model import (
     LETTERS,
     LETTERS_AND_SPACE,
     Alphabet,
-    GrowthModel,
     MeasurementTable,
     ProjectionTable,
     TargetText,
@@ -111,21 +115,26 @@ def _breakdown_lines(breakdown: TimeBreakdown) -> list[str]:
 SECONDS_OMITTED = "seconds projection omitted: a base time is not positive"
 
 
-def _projection_outputs(
-    table: ProjectionTable, model: GrowthModel, paper_style: bool
-) -> tuple[dict[str, str], list[str]]:
-    """Projection CSV/JSON and the plot series by file name, and printable lines.
+def _project(
+    config: dict, files: dict[str, str], lines: list[str],
+    attempts_base: Sequence[float], times_base: Sequence[float],
+) -> ProjectionTable:
+    """Fit growth factors and project to ``config["target"]``: the stage
+    ``project`` and ``report`` share.
 
-    Without a time growth factor there is no ``seconds_log10.csv`` and one
-    ``SECONDS_OMITTED`` line stands in for the time lines.
+    Adds the projection CSV/JSON and the plot series to ``files`` and the
+    printable lines to ``lines``, formatted as ``config["paper_style"]``
+    says. Without a time growth factor there is no ``seconds_log10.csv``,
+    one ``SECONDS_OMITTED`` line stands in for the time lines and ``config``
+    records it under ``seconds_projection``.
     """
-    fmt = _paper_style if paper_style else str
+    model = fit_growth_model(attempts_base, times_base)
+    table = build_projection_table(model, TargetText(config["target"]))
+    fmt = _paper_style if config["paper_style"] else str
     attempts_pairs, seconds_pairs = log10_series(table)
-    files = {
-        "projection.csv": table.to_csv(fmt),
-        "projection.json": json.dumps(table.to_json_rows(fmt), indent=2) + "\n",
-        "attempts_log10.csv": _series_csv(attempts_pairs, "log10_attempts"),
-    }
+    files["projection.csv"] = table.to_csv(fmt)
+    files["projection.json"] = json.dumps(table.to_json_rows(fmt), indent=2) + "\n"
+    files["attempts_log10.csv"] = _series_csv(attempts_pairs, "log10_attempts")
     final = table.final
     factors = f"growth factors: attempts {model.attempts_growth_factor:.3f}"
     attempts_line = (
@@ -133,14 +142,16 @@ def _projection_outputs(
         f"attempts {final.attempts.to_string(SUMMARY_DIGITS)}"
     )
     if model.time_growth_factor is None:
-        return files, [factors, attempts_line, SECONDS_OMITTED]
-    files["seconds_log10.csv"] = _series_csv(seconds_pairs, "log10_seconds")
-    lines = [
-        f"{factors}, time {model.time_growth_factor:.3f}",
-        attempts_line,
-        *_breakdown_lines(convert_time(final.seconds)),
-    ]
-    return files, lines
+        lines += [factors, attempts_line, SECONDS_OMITTED]
+        config["seconds_projection"] = SECONDS_OMITTED
+    else:
+        files["seconds_log10.csv"] = _series_csv(seconds_pairs, "log10_seconds")
+        lines += [
+            f"{factors}, time {model.time_growth_factor:.3f}",
+            attempts_line,
+            *_breakdown_lines(convert_time(final.seconds)),
+        ]
+    return table
 
 
 # -- simulate ---------------------------------------------------------------
@@ -166,20 +177,15 @@ def _simulate(args, alphabet: Alphabet) -> tuple[MeasurementTable, Alphabet]:
     return run_experiment(config), alphabet
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
     table, _ = _simulate(args, alphabet)
     csv_text = table.to_csv(include_timing=not args.no_timing)
     config = {**vars(args), "alphabet": alphabet.symbols, "stream_version": STREAM_VERSION}
-    _write_outputs(args.out, "simulate", config, {"measurements.csv": csv_text})
-
-    for line in csv_text.splitlines():
-        if line.startswith("test,") or line.startswith("average,"):
-            print(line)
+    lines = [line for line in csv_text.splitlines() if line.startswith(("test,", "average,"))]
     incomplete = table.incomplete_cells()
-    if incomplete:
-        print(f"budget exhausted in {len(incomplete)} cell(s): {incomplete}", file=sys.stderr)
-    return 0
+    warning = f"budget exhausted in {len(incomplete)} cell(s): {incomplete}"
+    return config, {"measurements.csv": csv_text}, lines, *([warning] if incomplete else [])
 
 
 # -- project ----------------------------------------------------------------
@@ -192,7 +198,7 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> tuple:
     if args.measurements is not None:
         csv_text = Path(args.measurements).read_text()
         lengths, attempts_base, times_base = read_measurement_csv(csv_text)
@@ -205,9 +211,6 @@ def cmd_project(args) -> int:
         attempts_base = _parse_float_list(args.attempts)
         times_base = _parse_float_list(args.times)
         source = "lists"
-    model = fit_growth_model(attempts_base, times_base)
-    table = build_projection_table(model, TargetText(args.target))
-    files, lines = _projection_outputs(table, model, args.paper_style)
     config = {
         "target": args.target,
         "attempts_base": attempts_base,
@@ -215,17 +218,15 @@ def cmd_project(args) -> int:
         "source": source,
         "paper_style": args.paper_style,
     }
-    if model.time_growth_factor is None:
-        config["seconds_projection"] = SECONDS_OMITTED
-    _write_outputs(args.out, "project", config, files)
-    print("\n".join(lines))
-    return 0
+    files, lines = {}, []
+    _project(config, files, lines, attempts_base, times_base)
+    return config, files, lines
 
 
 # -- prob ---------------------------------------------------------------------
 
 
-def cmd_prob(args) -> int:
+def cmd_prob(args) -> tuple:
     probability = success_probability(args.alphabet_size, args.length)
     attempts = expected_attempts(args.alphabet_size, args.length)
     lines = [
@@ -234,10 +235,7 @@ def cmd_prob(args) -> int:
         f"success probability: {probability}",
         f"expected attempts: {attempts}",
     ]
-    print("\n".join(lines))
-    if args.out is not None:
-        _write_outputs(args.out, "prob", vars(args), {"prob.txt": "\n".join(lines) + "\n"})
-    return 0
+    return vars(args), {"prob.txt": "\n".join(lines) + "\n"}, lines
 
 
 # -- census -------------------------------------------------------------------
@@ -247,74 +245,58 @@ def _census_lines(report: CensusReport, source: str) -> list[str]:
     return [f"census of {source}:"] + ["  " + line for line in report.lines()]
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple:
     if args.bundled_hamlet:
-        text = data.hamlet_soliloquy()
-        source = "bundled soliloquy"
+        text, source = data.hamlet_soliloquy(), "bundled soliloquy"
     else:
-        text = Path(args.file).read_text()
-        source = str(args.file)
-    report = corpus_census(text)
-    lines = _census_lines(report, source)
-    print("\n".join(lines))
-    if args.out is not None:
-        config = {
-            "source": "bundled-hamlet" if args.bundled_hamlet else str(args.file),
-            "expected_count": data.PUBLISHED_SOLILOQUY_LENGTH,
-        }
-        _write_outputs(args.out, "census", config, {"census.txt": "\n".join(lines) + "\n"})
-    return 0
+        text, source = Path(args.file).read_text(), str(args.file)
+    lines = _census_lines(corpus_census(text), source)
+    config = {
+        "source": "bundled-hamlet" if args.bundled_hamlet else str(args.file),
+        "expected_count": data.PUBLISHED_SOLILOQUY_LENGTH,
+    }
+    return config, {"census.txt": "\n".join(lines) + "\n"}, lines
 
 
 # -- report -------------------------------------------------------------------
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
     config = {**vars(args), "alphabet": alphabet.symbols}
     files: dict[str, str] = {}
-    summary: list[str] = []
 
     if args.use_paper_data:
         published = data.published_averages()
-        attempts_base = [float(v) for v in published["attempts"]]
-        times_base = [float(v) for v in published["seconds"]]
-        summary.append("base data: published per-prefix averages (ten trials, prefixes 1..5)")
+        attempts_base, times_base = published["attempts"], published["seconds"]
+        summary = ["base data: published per-prefix averages (ten trials, prefixes 1..5)"]
     else:
         # from here on, the alphabet the trials drew from (the manifest
         # keeps the parsed one)
         table, alphabet = _simulate(args, alphabet)
         config["stream_version"] = STREAM_VERSION
         files["measurements.csv"] = table.to_csv(include_timing=not args.no_timing)
-        attempts_base = list(table.attempts_averages)
-        # fit on the times measurements.csv holds: zeros under --no-timing
-        times_base = [0.0] * args.max_prefix if args.no_timing else list(table.time_averages)
-        summary.append(
+        # fit on what measurements.csv holds: zero times under --no-timing
+        _, attempts_base, times_base = read_measurement_csv(files["measurements.csv"])
+        summary = [
             f"base data: fresh simulation, seed {args.seed}, "
             f"{args.iterations} iterations, prefixes 1..{args.max_prefix}"
-        )
+        ]
         incomplete = table.incomplete_cells()
         if incomplete:
             summary.append(f"budget exhausted in cells: {incomplete}")
 
-    target = TargetText(args.target)
-    model = fit_growth_model(attempts_base, times_base)
-    projection = build_projection_table(model, target)
-    summary.append(f"projection target: {target.text!r} ({target.length} characters)")
-    projection_files, projection_lines = _projection_outputs(projection, model, args.paper_style)
-    files.update(projection_files)
-    summary += projection_lines
-    timed = model.time_growth_factor is not None
+    summary.append(f"projection target: {args.target!r} ({len(args.target)} characters)")
+    projection = _project(config, files, summary, attempts_base, times_base)
+    timed = projection.final.seconds is not None
     if timed:
         summary.append(
             "for reference, the published study quotes 9.32e55 years and 6.75e45 "
             "universe ages for this seconds value; neither follows from any "
             "standard year length, so both are reported verbatim, not reproduced."
         )
-    else:
-        config["seconds_projection"] = SECONDS_OMITTED
 
-    for n in (target.length, data.PUBLISHED_SOLILOQUY_LENGTH):
+    for n in (len(args.target), data.PUBLISHED_SOLILOQUY_LENGTH):
         p = success_probability(args.prob_alphabet_size, n)
         summary.append(
             f"success probability ({args.prob_alphabet_size} symbols, {n} chars): "
@@ -330,11 +312,8 @@ def cmd_report(args) -> int:
         )
 
     summary += _census_lines(corpus_census(data.hamlet_soliloquy()), "bundled soliloquy")
-
-    text = "\n".join(summary) + "\n"
-    _write_outputs(args.out, "report", config, {**files, "summary.txt": text})
-    print(text, end="")
-    return 0
+    files["summary.txt"] = "\n".join(summary) + "\n"
+    return config, files, summary
 
 
 # -- parser -------------------------------------------------------------------
@@ -370,6 +349,14 @@ def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_paper_style_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--paper-style",
+        action="store_true",
+        help="format numbers like the published tables (3 digits, comma decimal)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monkeytyper",
@@ -389,11 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--attempts", help="comma-separated attempts base list")
     proj.add_argument("--times", help="comma-separated seconds base list")
     proj.add_argument("--target", default=data.HAMLET_PHRASE, help="target text")
-    proj.add_argument(
-        "--paper-style",
-        action="store_true",
-        help="format numbers like the published tables (3 digits, comma decimal)",
-    )
+    _add_paper_style_flag(proj)
     proj.add_argument("--out", default="out", help="output directory")
     proj.set_defaults(func=cmd_project)
 
@@ -421,11 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="project from the bundled published averages instead of simulating",
     )
-    report.add_argument(
-        "--paper-style",
-        action="store_true",
-        help="format numbers like the published tables (3 digits, comma decimal)",
-    )
+    _add_paper_style_flag(report)
     report.add_argument(
         "--prob-alphabet-size",
         type=int,
@@ -446,10 +425,16 @@ def main(argv=None) -> int:
     if args.command == "project" and (args.attempts is None) != (args.times is None):
         parser.error("--attempts and --times must be given together")
     try:
-        return args.func(args)
+        config, files, lines, *warnings = args.func(args)
+        if args.out is not None:
+            _write_outputs(args.out, args.command, config, files)
+        print("\n".join(lines))
+        for warning in warnings:
+            print(warning, file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

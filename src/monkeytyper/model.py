@@ -159,13 +159,12 @@ class MeasurementTable:
         if prefix_lengths and prefix_lengths[0] < 1:
             raise ValueError("prefix_length must be >= 1")
         columns = [tuple(map(tuple, c)) for c in (attempts, elapsed_seconds, seeds, completed)]
-        if any(len(field) != len(prefix_lengths) for field in columns):
+        iterations = len(columns[0][0]) if columns[0] else 0
+        shape = [iterations] * len(prefix_lengths)
+        if any(list(map(len, field)) != shape for field in columns):
             raise ValueError("every iteration must cover every prefix length")
-        iterations = len(columns[0][0]) if prefix_lengths else 0
         if iterations == 0:
             raise ValueError("at least one test iteration required")
-        if any(len(column) != iterations for field in columns for column in field):
-            raise ValueError("every iteration must cover every prefix length")
         attempts, elapsed_seconds, seeds, completed = columns
         if min(map(min, attempts)) < 1:
             raise ValueError("attempts must be >= 1")
@@ -242,7 +241,9 @@ def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]
 
     Reads the ``average`` rows, one per prefix length, that end every
     measurement CSV this package writes and the bundled published matrix;
-    trial rows are skipped. A file without ``average`` rows is rejected.
+    trial rows are skipped. A file without ``average`` rows, an ``average``
+    row short of a field and two ``average`` rows for one prefix length are
+    rejected.
     """
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
@@ -251,11 +252,17 @@ def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]
     missing = required - set(reader.fieldnames)
     if missing:
         raise ValueError(f"measurements file lacks columns: {sorted(missing)}")
-    averages = {
-        int(row["prefix_len"]): (float(row["attempts"]), float(row["elapsed_seconds"]))
-        for row in reader
-        if row["test"] == "average"
-    }
+    averages: dict[int, tuple[float, float]] = {}
+    for row in reader:
+        if row["test"] != "average":
+            continue
+        short = sorted(name for name in required if row[name] is None)
+        if short:
+            raise ValueError(f"line {reader.line_num}: average row lacks fields: {short}")
+        n = int(row["prefix_len"])
+        if n in averages:
+            raise ValueError(f"line {reader.line_num}: second average row for prefix length {n}")
+        averages[n] = (float(row["attempts"]), float(row["elapsed_seconds"]))
     if not averages:
         raise ValueError(
             "measurements file has no average rows (test=average, one per prefix length)"

@@ -308,6 +308,26 @@ class TestProject:
         assert "no average rows" in capsys.readouterr().err
         assert not (tmp_path / "proj").exists()
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (["average,1", "average,2,16.0,0.4"], "line 2: average row lacks fields: "
+             "['attempts', 'elapsed_seconds']"),
+            (["average,1,50.0,0.1", "average,1,60.0,0.2", "average,2,16.0,0.4"],
+             "line 3: second average row for prefix length 1"),
+        ],
+        ids=["short-row", "repeated-prefix"],
+    )
+    def test_malformed_average_rows_exit_2(self, tmp_path, capsys, rows, message):
+        # a short row once crashed on float(None); a repeated prefix length
+        # once kept its last row without a word
+        csv_path = tmp_path / "measurements.csv"
+        csv_path.write_text("\n".join(["test,prefix_len,attempts,elapsed_seconds", *rows]) + "\n")
+        code = run(["project", "--measurements", csv_path, "--out", tmp_path / "proj"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "proj").exists()
+
     def test_requires_two_base_points(self, tmp_path, capsys):
         code = run(["project", "--attempts", "60", "--times", "0.1", "--out", tmp_path])
         assert code != 0
@@ -490,6 +510,30 @@ class TestReport:
         manifest = json.loads(read(tmp_path / "a", "manifest.json"))
         assert manifest["config"]["seconds_projection"] == cli.SECONDS_OMITTED
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--target", "abab", "--alphabet", "ab", "--max-prefix", "3", "--iterations", "5",
+             "--seed", "21"],
+            ["--target", "To be", "--alphabet", "letters+space", "--max-prefix", "2",
+             "--iterations", "50", "--seed", "42", "--budget", "3000"],
+        ],
+        ids=["complete", "budget-capped"],
+    )
+    def test_no_timing_projection_is_project_on_its_measurements(self, tmp_path, flags):
+        # report projects from the measurements.csv it writes, through the
+        # same stage as project
+        assert run(["report", *flags, "--no-timing", "--out", tmp_path / "report"]) == 0
+        summary = read(tmp_path / "report", "summary.txt")
+        assert ("budget exhausted in cells" in summary) == ("--budget" in flags)
+        target = flags[flags.index("--target") + 1]
+        code = run(["project", "--measurements", tmp_path / "report" / "measurements.csv",
+                    "--target", target, "--out", tmp_path / "project"])
+        assert code == 0
+        for name in ("projection.csv", "projection.json", "attempts_log10.csv"):
+            report_bytes = (tmp_path / "report" / name).read_bytes()
+            assert report_bytes == (tmp_path / "project" / name).read_bytes(), name
+
     def test_extend_alphabet_reaches_the_throughput_measurement(self, tmp_path, monkeypatch):
         # the throughput line must describe the alphabet the trials drew from
         seen = []
@@ -559,6 +603,30 @@ class TestOutputs:
         assert run([*argv, "--out", out_dir]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--target", "ab", "--alphabet", "ab", "--max-prefix", "2",
+             "--iterations", "2"],
+            ["project", *TABLE_ARGS],
+            ["prob", "--alphabet-size", "52", "--length", "41"],
+            ["census", "--bundled-hamlet"],
+            ["report", "--use-paper-data"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_prints_only_the_error(self, tmp_path, argv, capsys):
+        # prob and census once printed their results before the write failed
+        blocker = tmp_path / "afile"
+        blocker.write_text("x")
+        assert run([*argv, "--out", blocker / "x"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "x"
 
 
 def _readme_commands() -> list[list[str]]:
