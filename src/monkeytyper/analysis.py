@@ -27,9 +27,9 @@ SECONDS_PER_HOUR = 3600.0
 def success_probability(alphabet_size: int, n: int) -> ScaledDecimal:
     """P(one uniform length-``n`` candidate equals a fixed target) = A^-n.
 
-    Computed as the reciprocal of :func:`expected_attempts`, the exact integer
-    power, so the decimal exponent is exact even at n = 1520 (where it
-    reaches -2609).
+    Computed as the reciprocal of :func:`expected_attempts`, whose power is
+    exact before it is rounded once, so the decimal exponent is exact even at
+    n = 1520 (where it reaches -2609).
     """
     return ScaledDecimal.from_int(1) / expected_attempts(alphabet_size, n)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
 #: Working precision in significant decimal digits. The published tables carry
 #: 3-4 significant figures; 36 digits makes our own rounding error irrelevant.
@@ -130,12 +130,20 @@ def _coerce(value) -> ScaledDecimal:
 def scaled_int_pow(base: int, exp: int) -> ScaledDecimal:
     """``base ** exp`` for integer ``base >= 1``, ``exp >= 0``; exponent exact.
 
-    The power is taken over exact Python integers first, so the resulting
-    decimal exponent is the true digit count minus one, never a float
-    approximation.
+    The power is an exact decimal power: it runs in a context whose
+    precision bounds the digit count of ``base ** exp`` and which traps
+    ``Inexact`` and ``Rounded``, so a precision too short raises instead of
+    rounding. The exact result is then rounded once, half-even, to the
+    working precision: the same value as rounding the exact integer, so the
+    decimal exponent is the true digit count minus one.
     """
     if base < 1:
         raise ValueError(f"base must be >= 1, got {base}")
     if exp < 0:
         raise ValueError(f"exponent must be >= 0, got {exp}")
-    return ScaledDecimal.from_int(base**exp)
+    # base**exp has floor(exp * log10(base)) + 1 digits; one more digit
+    # absorbs the float error of the log.
+    exact = Context(
+        prec=int(exp * math.log10(base)) + 2, Emax=MAX_EMAX, traps=[Inexact, Rounded]
+    )
+    return ScaledDecimal(_CTX.plus(exact.power(Decimal(base), exp)))

@@ -1,8 +1,11 @@
 import decimal
 import json
+import os
 import re
 import shlex
 import string
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from monkeytyper.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 PUBLISHED_TRIALS = Path(__file__).parents[1] / "src/monkeytyper/data/published_trials.csv"
 README = Path(__file__).parents[1] / "README.md"
+SRC = Path(__file__).parents[1] / "src"
 
 TABLE_ARGS = [
     "--attempts",
@@ -386,6 +390,29 @@ class TestProb:
         manifest = json.loads(read(tmp_path, "manifest.json"))
         assert manifest["config"] == {"alphabet_size": 2, "length": 1}
         assert "5.000e-1" in read(tmp_path, "prob.txt")
+
+    def test_length_one_million_finishes(self):
+        # a fresh process, so the time counted includes import and start-up
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "monkeytyper.cli", "prob",
+             "--alphabet-size", "52", "--length", "1000000"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        wide = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+        attempts = wide.power(decimal.Decimal(52), 10**6)
+        probability = wide.divide(1, attempts)
+        four = decimal.Context(prec=4, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+        def sci(x):
+            return format(four.plus(x), ".3e").replace("+", "")
+
+        lines = proc.stdout.splitlines()
+        assert f"success probability: {sci(probability)}" in lines
+        assert f"expected attempts: {sci(attempts)}" in lines
+        assert sci(probability) == "4.533e-1716004" and sci(attempts) == "2.206e1716003"
 
 
 class TestCensus:

@@ -1,6 +1,15 @@
 import math
 import sys
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, Context, Decimal, localcontext
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_DOWN,
+    ROUND_FLOOR,
+    Context,
+    Decimal,
+    Inexact,
+    localcontext,
+)
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +120,52 @@ class TestIntPow:
     def test_exponent_is_exact_digit_count(self, base, exp):
         sys.set_int_max_str_digits(10_000)
         assert scaled_int_pow(base, exp).exponent == len(str(base**exp)) - 1
+
+
+def integer_reference(base: int, exp: int) -> ScaledDecimal:
+    """The exact Python integer power, rounded once into the working precision."""
+    return ScaledDecimal.from_int(base**exp)
+
+
+class TestIntPowMatchesIntegerPower:
+    """The decimal power gives the very digits of the rounded integer power."""
+
+    @given(base=st.integers(1, 100), exp=st.integers(0, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_power(self, base, exp):
+        got = scaled_int_pow(base, exp).value.as_tuple()
+        assert got == integer_reference(base, exp).value.as_tuple()
+
+    @given(base=st.integers(1, 100), exp=st.integers(1, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_success_probability(self, base, exp):
+        reference = ScaledDecimal.from_int(1) / integer_reference(base, exp)
+        assert success_probability(base, exp).value.as_tuple() == reference.value.as_tuple()
+
+    @pytest.mark.parametrize("base,exp", [(53, 10000), (52, 30000), (52, 100000)])
+    def test_large_powers(self, base, exp):
+        reference = integer_reference(base, exp)
+        assert scaled_int_pow(base, exp).value.as_tuple() == reference.value.as_tuple()
+        probability = ScaledDecimal.from_int(1) / reference
+        assert success_probability(base, exp).value.as_tuple() == probability.value.as_tuple()
+
+    def test_ignores_a_hostile_caller_context(self):
+        reference = integer_reference(52, 1520)
+        with localcontext() as ctx:
+            ctx.prec = 3
+            ctx.rounding = ROUND_FLOOR
+            ctx.traps[Inexact] = True
+            got = scaled_int_pow(52, 1520)
+            probability = success_probability(52, 1520)
+        assert got.value.as_tuple() == reference.value.as_tuple()
+        expected = ScaledDecimal.from_int(1) / reference
+        assert probability.value.as_tuple() == expected.value.as_tuple()
+
+    def test_short_precision_raises_instead_of_rounding(self, monkeypatch):
+        # a digit-count bound of 2 cannot hold 52^5 = 380,204,032
+        monkeypatch.setattr(math, "log10", lambda _: 0.0)
+        with pytest.raises(Inexact):
+            scaled_int_pow(52, 5)
 
 
 class TestRepresentation:
