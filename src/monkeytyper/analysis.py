@@ -7,12 +7,14 @@ concurrently.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from typing import Sequence
 
 from .data import PUBLISHED_SOLILOQUY_LENGTH
 from .model import GrowthModel, ProjectionRow, ProjectionTable, TargetText
-from .scaled import ScaledDecimal, scaled_int_pow
+from .scaled import _CTX, ScaledDecimal, scaled_int_pow
 
 #: Julian year, the year length every time conversion uses: the published
 #: figures never state which one they assumed.
@@ -21,21 +23,26 @@ JULIAN_YEAR_SECONDS = 3.15576e7
 #: Estimated age of the universe, in years.
 UNIVERSE_AGE_YEARS = 1.38e10
 
-SECONDS_PER_HOUR = 3600.0
+SECONDS_PER_HOUR = ScaledDecimal.from_int(3600)
+
+_GUARDED = Context(prec=_CTX.prec + 8, Emin=MIN_EMIN, Emax=MAX_EMAX)  # eight guard digits
+_LETTERS_AND_SPACE = (string.ascii_letters + " ").encode()
 
 
 def success_probability(alphabet_size: int, n: int) -> ScaledDecimal:
     """P(one uniform length-``n`` candidate equals a fixed target) = A^-n.
 
-    Computed as the reciprocal of :func:`expected_attempts`, whose power is
-    exact before it is rounded once, so the decimal exponent is exact even at
-    n = 1520 (where it reaches -2609).
+    Correctly rounded to the working precision: ``power`` in a context with
+    eight guard digits and the full exponent range, rounded once more, so
+    the decimal exponent is exact even at n = 1520 (where it reaches -2609).
     """
-    return ScaledDecimal.from_int(1) / expected_attempts(alphabet_size, n)
+    if alphabet_size < 1 or n < 1:
+        raise ValueError("alphabet size and length must be positive")
+    return ScaledDecimal(_CTX.plus(_GUARDED.power(Decimal(alphabet_size), -n)))
 
 
 def expected_attempts(alphabet_size: int, n: int) -> ScaledDecimal:
-    """Mean geometric waiting time A^n: exactly 1 / success_probability."""
+    """Mean geometric waiting time A^n, from the exact power rounded once."""
     if alphabet_size < 1 or n < 1:
         raise ValueError("alphabet size and length must be positive")
     return scaled_int_pow(alphabet_size, n)
@@ -186,14 +193,12 @@ def corpus_census(text: str) -> CensusReport:
       leading/trailing whitespace dropped.
     * ``letters_and_space``: ASCII letters and plain spaces only.
     """
-    collapsed = " ".join(text.split())
+    ascii_only = text.encode("ascii", "ignore")
     counts = {
         "raw": len(text),
-        "newlines_excluded": sum(1 for c in text if c not in "\n\r"),
-        "whitespace_collapsed": len(collapsed),
-        "letters_and_space": sum(
-            1 for c in text if (c.isascii() and c.isalpha()) or c == " "
-        ),
+        "newlines_excluded": len(text) - text.count("\n") - text.count("\r"),
+        "whitespace_collapsed": len(" ".join(text.split())),
+        "letters_and_space": len(ascii_only) - len(ascii_only.translate(None, _LETTERS_AND_SPACE)),
     }
     return CensusReport(counts=counts)
 

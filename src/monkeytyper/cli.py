@@ -22,6 +22,7 @@ failing command leaves nothing under ``--out`` and prints only its
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -357,7 +358,13 @@ def _add_paper_style_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` leaves it unchanged, and so must callers.
+
+    Only in-process callers of :func:`main` gain (the ``pipeline`` benchmark,
+    the tests, embedders): a one-shot command line builds it once either way.
+    """
     parser = argparse.ArgumentParser(
         prog="monkeytyper",
         description="Random-typing trials, growth-factor projections, and exact odds.",

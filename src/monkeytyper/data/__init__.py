@@ -15,6 +15,7 @@ random-typing experiment this library reproduces:
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -29,13 +30,14 @@ def _read_text(name: str) -> str:
     return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
 
 
+@functools.cache
 def hamlet_soliloquy() -> str:
-    """Return the bundled soliloquy exactly as stored (1,520 characters)."""
+    """Return the bundled soliloquy exactly as stored (1,520 characters), read once."""
     return _read_text("hamlet_soliloquy.txt")
 
 
 def published_averages() -> dict:
-    """Return the published per-prefix averages.
+    """Return the published per-prefix averages, freshly read on every call.
 
     Keys: ``attempts`` (list of 5 ints), ``seconds`` (list of 5 floats,
     the first entry is the 0.0001 s stand-in the published projection used

@@ -361,6 +361,27 @@ class TestCorpusCensus:
         assert len(lines) == 4
         assert any("raw" in line for line in lines)
 
+    @given(
+        text=st.text(
+            alphabet=st.one_of(st.characters(), st.sampled_from("\r\t\u00a0\u2028\u00e9\u017f")),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=200)
+    def test_matches_the_per_character_definition(self, text):
+        # the counts the census was first defined by, one character at a
+        # time; \u00e9 and \u017f (long s) are letters but not ASCII, \u00a0 and
+        # \u2028 are whitespace but not spaces or line breaks
+        oracle = {
+            "raw": len(text),
+            "newlines_excluded": sum(1 for c in text if c not in "\n\r"),
+            "whitespace_collapsed": len(" ".join(text.split())),
+            "letters_and_space": sum(
+                1 for c in text if (c.isascii() and c.isalpha()) or c == " "
+            ),
+        }
+        assert corpus_census(text).counts == oracle
+
     @given(text=st.text(alphabet=st.characters(max_codepoint=0x2FF), max_size=400))
     @settings(max_examples=80)
     def test_raw_bounds_every_normalization(self, text):

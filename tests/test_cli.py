@@ -1,3 +1,4 @@
+import csv
 import decimal
 import json
 import os
@@ -654,6 +655,56 @@ class TestOutputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "x"
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        # one shared parser serves a paper-style report, a usage error, a
+        # plain report and a project run in turn; each output is the one a
+        # first call would give
+        def matches_golden(out_dir, golden):
+            assert capsys.readouterr().out == (GOLDEN / golden / "summary.txt").read_text()
+            for path in (GOLDEN / golden).iterdir():
+                assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+        assert run(["report", "--use-paper-data", "--paper-style", "--out", tmp_path / "a"]) == 0
+        matches_golden(tmp_path / "a", "report-paper-style")
+
+        with pytest.raises(SystemExit) as exit_info:
+            run(["project", "--attempts", "1,2", "--out", tmp_path / "b"])
+        assert exit_info.value.code == 2
+        assert "must be given together" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+        assert run(["report", "--use-paper-data", "--out", tmp_path / "c"]) == 0
+        matches_golden(tmp_path / "c", "report")
+        pin = (GOLDEN / "manifests" / "report.json").read_text()
+        assert read(tmp_path / "c", "manifest.json") == pin
+
+        assert run(["project", "--measurements", PUBLISHED_TRIALS, "--out", tmp_path / "d"]) == 0
+        capsys.readouterr()
+        # the published matrix has the averages of the paper data and a zero
+        # time at prefix 1, so the attempts equal the golden report's
+        golden_log10 = (GOLDEN / "report" / "attempts_log10.csv").read_bytes()
+        assert (tmp_path / "d" / "attempts_log10.csv").read_bytes() == golden_log10
+
+        def attempts_column(path):
+            return [row[:3] for row in csv.reader(path.read_text().splitlines())]
+
+        assert attempts_column(tmp_path / "d" / "projection.csv") == attempts_column(
+            GOLDEN / "report" / "projection.csv"
+        )
+        expected = json.loads((GOLDEN / "manifests" / "project.json").read_text())
+        expected["config"].update(
+            source=str(PUBLISHED_TRIALS),
+            times_base=[0.0, *expected["config"]["times_base"][1:]],
+            seconds_projection=cli.SECONDS_OMITTED,
+        )
+        expected["outputs"].remove("seconds_log10.csv")
+        assert json.loads(read(tmp_path / "d", "manifest.json")) == expected
 
 
 def _readme_commands() -> list[list[str]]:
