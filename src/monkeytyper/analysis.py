@@ -9,12 +9,11 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from typing import Sequence
 
 from .data import PUBLISHED_SOLILOQUY_LENGTH
 from .model import GrowthModel, ProjectionRow, ProjectionTable, TargetText
-from .scaled import _CTX, ScaledDecimal, scaled_int_pow
+from .scaled import ScaledDecimal, scaled_int_pow
 
 #: Julian year, the year length every time conversion uses: the published
 #: figures never state which one they assumed.
@@ -25,20 +24,19 @@ UNIVERSE_AGE_YEARS = 1.38e10
 
 SECONDS_PER_HOUR = ScaledDecimal.from_int(3600)
 
-_GUARDED = Context(prec=_CTX.prec + 8, Emin=MIN_EMIN, Emax=MAX_EMAX)  # eight guard digits
 _LETTERS_AND_SPACE = (string.ascii_letters + " ").encode()
 
 
 def success_probability(alphabet_size: int, n: int) -> ScaledDecimal:
     """P(one uniform length-``n`` candidate equals a fixed target) = A^-n.
 
-    Correctly rounded to the working precision: ``power`` in a context with
-    eight guard digits and the full exponent range, rounded once more, so
-    the decimal exponent is exact even at n = 1520 (where it reaches -2609).
+    :func:`~monkeytyper.scaled.scaled_int_pow` at ``-n``: correctly rounded
+    to the working precision, with an exact decimal exponent (-2609 at
+    n = 1520).
     """
     if alphabet_size < 1 or n < 1:
         raise ValueError("alphabet size and length must be positive")
-    return ScaledDecimal(_CTX.plus(_GUARDED.power(Decimal(alphabet_size), -n)))
+    return scaled_int_pow(alphabet_size, -n)
 
 
 def expected_attempts(alphabet_size: int, n: int) -> ScaledDecimal:

@@ -70,22 +70,23 @@ def _parse_alphabet(spec: str) -> Alphabet:
 
 
 def _write_outputs(out_dir: str, command: str, config: dict, files: dict[str, str]) -> None:
-    """Create ``out_dir`` and write ``files`` plus a ``manifest.json`` naming them all.
+    """Write ``files`` plus a ``manifest.json`` naming them all, as UTF-8.
 
     ``config`` may be a command's parsed flags: ``command``, ``func`` and
-    ``out`` are dropped from what the manifest records.
+    ``out`` are dropped from what the manifest records. Every file is
+    encoded before ``out_dir`` is created, so a failing encode writes nothing.
     """
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (path / name).write_text(text)
     manifest = {
         "command": command,
         "version": __version__,
         "config": {k: v for k, v in config.items() if k not in ("command", "func", "out")},
         "outputs": sorted([*files, "manifest.json"]),
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    files = {**files, "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    encoded = {name: text.encode("utf-8") for name, text in files.items()}
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    for name, raw in encoded.items():
+        (Path(out_dir) / name).write_bytes(raw)
 
 
 def _paper_style(x: ScaledDecimal) -> str:
@@ -201,7 +202,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 def cmd_project(args) -> tuple:
     if args.measurements is not None:
-        csv_text = Path(args.measurements).read_text()
+        csv_text = Path(args.measurements).read_text(encoding="utf-8")
         lengths, attempts_base, times_base = read_measurement_csv(csv_text)
         if lengths != list(range(1, len(lengths) + 1)):
             raise ValueError(
@@ -250,7 +251,7 @@ def cmd_census(args) -> tuple:
     if args.bundled_hamlet:
         text, source = data.hamlet_soliloquy(), "bundled soliloquy"
     else:
-        text, source = Path(args.file).read_text(), str(args.file)
+        text, source = Path(args.file).read_text(encoding="utf-8"), str(args.file)
     lines = _census_lines(corpus_census(text), source)
     config = {
         "source": "bundled-hamlet" if args.bundled_hamlet else str(args.file),

@@ -32,6 +32,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, Rounded
 PRECISION = 36
 
 _CTX = Context(prec=PRECISION, Emin=MIN_EMIN, Emax=MAX_EMAX)
+_GUARDED = Context(prec=PRECISION + 8, Emin=MIN_EMIN, Emax=MAX_EMAX)  # eight guard digits
 
 
 @dataclass(frozen=True, order=True)
@@ -128,22 +129,19 @@ def _coerce(value) -> ScaledDecimal:
 
 
 def scaled_int_pow(base: int, exp: int) -> ScaledDecimal:
-    """``base ** exp`` for integer ``base >= 1``, ``exp >= 0``; exponent exact.
+    """``base ** exp`` for integer ``base >= 1`` and any integer ``exp``; exponent exact.
 
-    The power is an exact decimal power: it runs in a context whose
-    precision bounds the digit count of ``base ** exp`` and which traps
-    ``Inexact`` and ``Rounded``, so a precision too short raises instead of
-    rounding. The exact result is then rounded once, half-even, to the
-    working precision: the same value as rounding the exact integer, so the
-    decimal exponent is the true digit count minus one.
+    One decimal ``power``, rounded once, half-even, into the working
+    precision. For ``exp >= 0`` the power is exact: its precision bounds the
+    digit count and ``Inexact`` and ``Rounded`` trap, so a precision too
+    short raises instead of rounding. For ``exp < 0`` it rounds from eight
+    guard digits: correctly rounded at base 2..59, exp -1..-399, -1520, -4000.
     """
     if base < 1:
         raise ValueError(f"base must be >= 1, got {base}")
-    if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {exp}")
-    # base**exp has floor(exp * log10(base)) + 1 digits; one more digit
-    # absorbs the float error of the log.
-    exact = Context(
+    # base**exp, exp >= 0, has floor(exp * log10(base)) + 1 digits; one more
+    # digit absorbs the float error of the log.
+    ctx = _GUARDED if exp < 0 else Context(
         prec=int(exp * math.log10(base)) + 2, Emax=MAX_EMAX, traps=[Inexact, Rounded]
     )
-    return ScaledDecimal(_CTX.plus(exact.power(Decimal(base), exp)))
+    return ScaledDecimal(_CTX.plus(ctx.power(Decimal(base), exp)))

@@ -275,6 +275,17 @@ class TestProject:
         rows = json.loads(read(tmp_path / "proj", "projection.json"))
         assert {(row["seconds"], row["hours"]) for row in rows} == {(None, None)}
 
+    def test_measurements_with_a_gap_at_prefix_one_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "measurements.csv"
+        csv_path.write_text(
+            "test,prefix_len,attempts,elapsed_seconds\naverage,2,4.0,0.1\naverage,3,16.0,0.4\n"
+        )
+        code = run(["project", "--measurements", csv_path, "--out", tmp_path / "proj"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1..k" in err and "[2, 3]" in err
+        assert not (tmp_path / "proj").exists()
+
     def test_measurements_must_start_at_prefix_one(self, tmp_path, capsys):
         # prefixes 3..5 once projected as if they were 1..3
         rows = ["test,prefix_len,attempts,elapsed_seconds,seed"]
@@ -439,6 +450,23 @@ class TestCensus:
     def test_unreadable_file_exits_nonzero(self, tmp_path, capsys):
         assert run(["census", "--file", tmp_path / "missing.txt"]) == 2
         assert "missing.txt" in capsys.readouterr().err
+
+    def test_file_is_read_as_utf8_under_a_c_locale(self, tmp_path, capsys):
+        # under an ASCII locale this once failed to decode the é
+        path = tmp_path / "t.txt"
+        path.write_text("To be \u00e9 \u2014 or not\n", encoding="utf-8")
+        assert run(["census", "--file", path]) == 0
+        in_process = capsys.readouterr().out
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONIOENCODING", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "monkeytyper.cli", "census", "--file", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == in_process
 
     def test_optional_out(self, tmp_path):
         run(["census", "--bundled-hamlet", "--out", tmp_path])
@@ -621,8 +649,10 @@ class TestOutputs:
         [
             ["report", "--use-paper-data", "--prob-alphabet-size", "0"],
             ["report", "--target", "To be", "--max-prefix", "1", "--iterations", "2"],
+            # what the shell makes of $'a\xc3': a lone surrogate UTF-8 cannot encode
+            ["project", "--attempts", "1,2", "--times", "1,2", "--target", "a\udcc3"],
         ],
-        ids=["bad-prob-alphabet", "one-prefix"],
+        ids=["bad-prob-alphabet", "one-prefix", "unencodable-target"],
     )
     def test_failing_command_writes_nothing(self, tmp_path, argv, capsys):
         # the error surfaces after projection or simulation has run, but

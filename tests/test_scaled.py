@@ -111,7 +111,7 @@ class TestIntPow:
         assert x.exponent == 2608
         assert abs(float(x.mantissa) - 2.11) < 0.01
 
-    @pytest.mark.parametrize("base,exp", [(0, 3), (-2, 1), (5, -1)])
+    @pytest.mark.parametrize("base,exp", [(0, 3), (-2, 1)])
     def test_rejects_bad_arguments(self, base, exp):
         with pytest.raises(ValueError):
             scaled_int_pow(base, exp)
@@ -149,8 +149,9 @@ class TestIntPowMatchesIntegerPower:
     @given(base=st.integers(1, 100), exp=st.integers(1, 3000))
     @settings(max_examples=200, deadline=None)
     def test_success_probability(self, base, exp):
-        reference = reciprocal_reference(base, exp)
-        assert success_probability(base, exp).value.as_tuple() == reference.value.as_tuple()
+        reference = reciprocal_reference(base, exp).value.as_tuple()
+        assert success_probability(base, exp).value.as_tuple() == reference
+        assert scaled_int_pow(base, -exp).value.as_tuple() == reference
 
     @pytest.mark.parametrize("base,exp", [(53, 10000), (52, 30000), (52, 100000)])
     def test_large_powers(self, base, exp):
