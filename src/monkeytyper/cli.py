@@ -14,9 +14,9 @@ simulating ``report --no-timing`` is therefore byte-stable as a whole.
 
 Each ``cmd_*`` only computes: it returns the manifest configuration, the
 files by name, the stdout lines and then any stderr lines. :func:`main`
-alone writes the files (when ``--out`` is set) and prints after that, so a
-failing command leaves nothing under ``--out`` and prints only its
-``error:`` line.
+alone writes the files (when ``--out`` is set) and prints after that, once
+it has checked that the console can encode every line, so a failing command
+leaves nothing under ``--out`` and prints only its ``error:`` line.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -74,7 +75,8 @@ def _write_outputs(out_dir: str, command: str, config: dict, files: dict[str, st
 
     ``config`` may be a command's parsed flags: ``command``, ``func`` and
     ``out`` are dropped from what the manifest records. Every file is
-    encoded before ``out_dir`` is created, so a failing encode writes nothing.
+    encoded, and no file path checked to be a directory, before ``out_dir``
+    is created, so a failing encode or a directory in the way writes nothing.
     """
     manifest = {
         "command": command,
@@ -84,9 +86,15 @@ def _write_outputs(out_dir: str, command: str, config: dict, files: dict[str, st
     }
     files = {**files, "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
     encoded = {name: text.encode("utf-8") for name, text in files.items()}
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    if out.is_dir():  # one listing, which costs less than a stat per file
+        with os.scandir(out) as entries:
+            blocked = sorted(e.name for e in entries if e.name in encoded and e.is_dir())
+        if blocked:
+            raise IsADirectoryError(f"cannot write over the directory {out / blocked[0]}")
+    out.mkdir(parents=True, exist_ok=True)
     for name, raw in encoded.items():
-        (Path(out_dir) / name).write_bytes(raw)
+        (out / name).write_bytes(raw)
 
 
 def _paper_style(x: ScaledDecimal) -> str:
@@ -434,6 +442,12 @@ def main(argv=None) -> int:
         parser.error("--attempts and --times must be given together")
     try:
         config, files, lines, *warnings = args.func(args)
+        # Lines the console cannot encode fail here, before any file is
+        # written; an io.StringIO has no encoding and takes any text.
+        for stream, text in ((sys.stdout, lines), (sys.stderr, warnings)):
+            if getattr(stream, "encoding", None):
+                errors = getattr(stream, "errors", None) or "strict"
+                "\n".join(text).encode(stream.encoding, errors)
         if args.out is not None:
             _write_outputs(args.out, args.command, config, files)
         print("\n".join(lines))

@@ -19,6 +19,16 @@ must fit in a uint64, so ``A^n`` may be at most ``2^64``; larger candidate
 spaces are rejected up front, since such a trial expects at least ``1.8e19``
 attempts and could never finish.
 
+Matching. Up to ``2^32`` the kernel does not build the integers. numpy's
+32-bit path takes half-words ``w`` of the PCG64 stream, low half first, and
+maps each to ``(w * A^n) >> 32`` by Lemire's multiply-shift, drawing again
+when ``w * A^n mod 2^32`` falls below ``(2^32 - A^n) mod A^n``. So a
+candidate equals the key exactly when its accepted half-word lies in the
+key's interval ``[ceil(key * 2^32 / A^n), ceil((key + 1) * 2^32 / A^n))``,
+and the kernel tests raw words against that interval and counts the
+rejected ones, whole arrays at a time. The attempt counts are those of the
+draw; the tests compare the two on every boundary case.
+
 Blocks. The trials of prefix length ``n`` form blocks of
 ``K_n = max(1, 2^16 // A^n)`` consecutive iterations: ``1..K_n``,
 ``K_n+1..2*K_n`` and so on, the last block cut at the iteration count.
@@ -73,7 +83,10 @@ import numpy as np
 from .model import Alphabet, AlphabetMismatchError, MeasurementTable, TargetText, TrialRecord
 
 _MIN_BATCH = 64
-_MAX_BATCH = 1 << 16
+# Candidates per batch at most. A batch's arrays (128 KiB of words) stay small
+# enough for malloc to keep reusing the same heap pages; at twice the size
+# they were faulted in afresh on every batch and the kernel ran at half speed.
+_MAX_BATCH = 1 << 15
 
 #: Candidates a block spans at most, ``K_n * A^n <= 2^16`` (see the module
 #: docstring); a part of the stream contract.
@@ -166,10 +179,39 @@ def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> t
     return key, space
 
 
-def _matches(rng: RngStream, key: int, space: int, rows: int) -> np.ndarray:
-    """Draw ``rows`` candidates from ``[0, space)``; return the indices of
-    those equal to ``key``."""
-    return (rng.draw_codes(rows, space) == np.uint64(key)).nonzero()[0]
+def _matches(rng: RngStream, key: int, space: int, rows: int) -> tuple[np.ndarray, int]:
+    """Draw about ``rows`` candidates from ``[0, space)``; return the indices
+    of those equal to ``key`` and the number of candidates drawn.
+
+    Up to ``2^32`` this matches ``ceil(rows / 2)`` raw 64-bit words against
+    the key's interval (see the module docstring). Only the interval's first
+    word can be rejected, so the start moves up by one when it is; a hit's
+    position drops by the rejected half-words before it. Space 1 reads no
+    word (every candidate is 0); larger spaces draw through
+    :meth:`RngStream.draw_codes`.
+    """
+    if space > 2**32:
+        return (rng.draw_codes(rows, space) == np.uint64(key)).nonzero()[0], rows
+    if space == 1:
+        return np.arange(rows), rows
+    raw = rng._generator.bit_generator.random_raw((rows + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<u4")  # low half first on any host
+    lo, hi = (-(-(k << 32) // space) for k in (key, key + 1))
+    threshold = (2**32 - space) % space
+    if lo * space - (key << 32) < threshold:
+        lo += 1
+    # One scratch array and one mask, reused by the rejection test.
+    scratch = np.subtract(words, np.uint32(lo))
+    mask = np.less(scratch, np.uint32(hi - lo))
+    hits = np.flatnonzero(mask)
+    if not threshold:  # a power of two: no word is rejected
+        return hits, words.size
+    np.multiply(words, np.uint32(space), out=scratch)
+    np.less(scratch, np.uint32(threshold), out=mask)
+    if not hits.size:
+        return hits, words.size - np.count_nonzero(mask)
+    rejected = np.flatnonzero(mask)
+    return hits - rejected.searchsorted(hits), words.size - rejected.size
 
 
 def _run_block(
@@ -195,8 +237,9 @@ def _run_block(
     while len(attempts) < trials:
         left = trials - len(attempts)
         rows = min(_batch_rows(space, left), start + left * limit - drawn)
-        hits = _matches(rng, key, space, rows) + drawn
-        drawn += rows
+        hits, count = _matches(rng, key, space, rows)
+        hits += drawn
+        drawn += count
         # The batch end closes, incomplete, every trial whose budget it passed.
         for position in [*hits.tolist(), drawn]:
             while position - start >= limit and len(attempts) < trials:
@@ -319,10 +362,10 @@ def measure_throughput(
     Draws candidates and compares them with key 0 through the trial
     kernel's draw-and-match step, in whole batches until
     ``duration_seconds`` have passed (at least one batch), and returns
-    count / elapsed. Any key costs the same: one uniform draw and one
-    compare per candidate. This is the preferred way to turn projected
-    attempt counts into projected durations: it sidesteps the noisy
-    per-trial wall clocks.
+    count / elapsed. Any key costs the same: up to ``2^32`` candidates, one
+    32-bit word and one interval test per candidate. This is the preferred
+    way to turn projected attempt counts into projected durations: it
+    sidesteps the noisy per-trial wall clocks.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -334,8 +377,7 @@ def measure_throughput(
     generated = 0
     start = time.perf_counter()
     while True:
-        _matches(stream, 0, space, _MAX_BATCH)
-        generated += _MAX_BATCH
+        generated += _matches(stream, 0, space, _MAX_BATCH)[1]
         elapsed = time.perf_counter() - start
         if elapsed >= duration_seconds:
             return generated / max(elapsed, 1e-9)

@@ -50,6 +50,16 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def run_process(argv, **env):
+    """``monkeytyper argv`` as a fresh process, with ``env`` added to the environment."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "monkeytyper.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def read(out_dir, name):
     return (out_dir / name).read_text()
 
@@ -661,6 +671,27 @@ class TestOutputs:
         assert run([*argv, "--out", out_dir]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
+
+    def test_unencodable_stdout_writes_nothing(self, tmp_path):
+        # stdout is printed after the files are written; a line it cannot
+        # encode once failed only then, with the whole bundle on disk
+        out_dir = tmp_path / "e"
+        proc = run_process(["report", "--use-paper-data", "--target", "To b\u00e9",
+                            "--out", out_dir], PYTHONIOENCODING="ascii")
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error: 'ascii' codec")
+        assert not out_dir.exists()
+
+    def test_directory_in_the_way_writes_nothing(self, tmp_path):
+        out_dir = tmp_path / "d"
+        (out_dir / "summary.txt").mkdir(parents=True)
+        (out_dir / "summary.txt" / "kept").write_text("x")
+        proc = run_process(["report", "--use-paper-data", "--out", out_dir])
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert "summary.txt" in proc.stderr
+        assert sorted(p.relative_to(out_dir) for p in out_dir.rglob("*")) == [
+            Path("summary.txt"), Path("summary.txt/kept")]
 
 
     @pytest.mark.parametrize(

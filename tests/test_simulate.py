@@ -258,6 +258,97 @@ def reference_block(prefix, alphabet, seed, trials, budget):
     raise AssertionError("reference stream too short")
 
 
+# Spaces the word kernel covers, from one symbol to the 2^32 bound numpy
+# still draws from half-words; 2^31 + 11 rejects nearly half of all words.
+WORD_SPACES = [1, 2, 3, 53, 2809, 53**4, 2**31 + 11, 2**32 - 1, 2**32]
+# Batch sizes in candidates: odd ones split a raw 64-bit word.
+WORD_BATCHES = (1, 7, 1000, 4096, 333)
+
+
+def word_kernel_hits(seed, key, space, batches=WORD_BATCHES):
+    """The hit positions and the candidate count of ``_matches`` over
+    several batches of ``RngStream(seed)``."""
+    stream = RngStream(seed)
+    found, drawn = [], 0
+    for rows in batches:
+        hits, count = simulate._matches(stream, key, space, rows)
+        assert 0 <= count <= rows + 1
+        assert all(0 <= h < count for h in hits.tolist())
+        found += (hits + drawn).tolist()
+        drawn += count
+    return found, drawn
+
+
+def bounded_draw_hits(seed, key, space, count):
+    """The oracle: positions where numpy's bounded draw gives ``key``."""
+    return np.flatnonzero(RngStream(seed).draw_codes(count, space) == np.uint64(key)).tolist()
+
+
+class TestWordKernel:
+    """``_matches`` reads raw PCG64 words against the key's Lemire interval;
+    it must find exactly the candidates ``draw_codes`` makes equal to the key."""
+
+    @pytest.mark.parametrize("seed", [42, 2**64 - 5])
+    @pytest.mark.parametrize("space", WORD_SPACES)
+    def test_agrees_with_the_bounded_draw(self, space, seed):
+        for key in sorted({0, 1 % space, space // 2, space - 1}):
+            found, drawn = word_kernel_hits(seed, key, space)
+            assert found == bounded_draw_hits(seed, key, space, drawn), key
+
+    @pytest.mark.parametrize("space", WORD_SPACES)
+    def test_candidate_counts_are_exact(self, space):
+        # a key planted at the last candidate of each batch is found there
+        # only if every batch counted its candidates exactly; rare-hit
+        # spaces would hide an off-by-one from the other keys
+        _, drawn = word_kernel_hits(7, 0, space)
+        codes = RngStream(7).draw_codes(drawn, space)
+        stream, position = RngStream(7), 0
+        for rows in WORD_BATCHES:
+            position += simulate._matches(stream, 0, space, rows)[1]
+            if not position:  # every word so far rejected
+                continue
+            key = int(codes[position - 1])
+            found, _ = word_kernel_hits(7, key, space)
+            assert position - 1 in found
+            assert found == bounded_draw_hits(7, key, space, drawn)
+
+    def test_rejected_interval_start_is_not_a_hit(self):
+        # at 2^31 + 11 nearly half of all words are rejected; the stream's
+        # first rejected word w is the interval start of key (w * space) >> 32,
+        # which a kernel that did not move the start up would count as a hit
+        space, seed = 2**31 + 11, 42
+        threshold = (2**32 - space) % space
+        # the first 16 half-words, all inside the first batches read
+        words = RngStream(seed)._generator.bit_generator.random_raw(8).view(np.uint32)
+        word = next(int(w) for w in words if int(w) * space % 2**32 < threshold)
+        key = word * space >> 32
+        assert -(-(key << 32) // space) == word  # the case occurs: the start is rejected
+        found, drawn = word_kernel_hits(seed, key, space)
+        assert found == bounded_draw_hits(seed, key, space, drawn)
+
+    def test_space_one_consumes_no_word(self):
+        # numpy's bounded draw of [0, 1) reads nothing from the stream
+        stream = RngStream(3)
+        hits, count = simulate._matches(stream, 0, 1, 100)
+        assert count == 100 and hits.tolist() == list(range(100))
+        untouched = RngStream(3)._generator.bit_generator.state
+        assert stream._generator.bit_generator.state == untouched
+
+    def test_spaces_above_2_to_the_32_use_the_bounded_draw(self, monkeypatch):
+        draws = []
+        draw_codes = RngStream.draw_codes
+
+        def recorded(rng, count, bound):
+            draws.append((count, bound))
+            return draw_codes(rng, count, bound)
+
+        monkeypatch.setattr(RngStream, "draw_codes", recorded)
+        simulate._matches(RngStream(1), 0, 2**32, 100)
+        assert draws == []
+        _, count = simulate._matches(RngStream(1), 5, 2**32 + 1, 100)
+        assert draws == [(100, 2**32 + 1)] and count == 100
+
+
 class TestBlockKernel:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -443,19 +534,30 @@ class TestMeasureThroughput:
         assert measure_throughput(AB, 2, duration_seconds=0.02) > 0
 
     def test_draws_one_integer_per_candidate(self, monkeypatch):
-        # a candidate of length 5 is one draw in [0, 53^5), so the cost per
-        # candidate no longer grows with its length
-        draws = []
-        draw_codes = RngStream.draw_codes
+        # a candidate of any length is one 32-bit half-word of the stream
+        # (a rare rejected one aside), so the cost per candidate does not
+        # grow with its length: a batch of ``rows`` candidates reads
+        # ``rows / 2`` raw 64-bit words and yields nearly ``rows`` candidates
+        batches = []
+        matches = simulate._matches
 
-        def recorded(rng, count, bound):
-            draws.append((count, bound))
-            return draw_codes(rng, count, bound)
+        def recorded(rng, key, space, rows):
+            shadow = np.random.PCG64()
+            shadow.state = rng._generator.bit_generator.state
+            hits, count = matches(rng, key, space, rows)
+            shadow.random_raw((rows + 1) // 2)
+            same = shadow.state == rng._generator.bit_generator.state
+            batches.append((space, rows, count, same))
+            return hits, count
 
-        monkeypatch.setattr(RngStream, "draw_codes", recorded)
-        rate = measure_throughput(LETTERS_AND_SPACE, 5, duration_seconds=0.01)
-        assert draws and rate > 0
-        assert {bound for _, bound in draws} == {53**5}
+        monkeypatch.setattr(simulate, "_matches", recorded)
+        for length in (1, 3, 5):
+            batches.clear()
+            rate = measure_throughput(LETTERS_AND_SPACE, length, duration_seconds=0.01)
+            assert batches and rate > 0
+            for space, rows, count, same in batches:
+                assert space == 53**length and same
+                assert 0.95 * rows < count <= rows
 
     def test_candidate_space_above_2_to_the_64_is_rejected(self):
         measure_throughput(AB, 64, duration_seconds=0.01)
