@@ -8,12 +8,8 @@ matches, so the attempt matrix below is reproducible bit for bit on any
 machine.
 """
 
-from monkeytyper import (
-    LETTERS_AND_SPACE,
-    ExperimentConfig,
-    TargetText,
-    run_experiment,
-)
+from monkeytyper import LETTERS_AND_SPACE, TargetText
+from monkeytyper.simulate import ExperimentConfig, run_experiment
 
 config = ExperimentConfig(
     target=TargetText("To be"),

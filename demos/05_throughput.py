@@ -12,11 +12,11 @@ from monkeytyper import (
     TargetText,
     convert_time,
     fit_growth_model,
-    measure_throughput,
     published_averages,
     build_projection_table,
 )
 from monkeytyper.analysis import UNIVERSE_AGE_YEARS
+from monkeytyper.simulate import measure_throughput
 
 rate = measure_throughput(LETTERS_AND_SPACE, length=5, duration_seconds=0.3)
 print(f"this machine generates about {rate:,.0f} length-5 candidates per second")

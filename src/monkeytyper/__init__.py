@@ -10,6 +10,10 @@ uniformly random character source take to type a fixed text?
   probabilities on scaled decimals.
 * :mod:`monkeytyper.cli` wires both into ``simulate | project | prob |
   census | report`` commands.
+
+Only the trials draw random numbers, and only :mod:`monkeytyper.simulate`
+imports numpy. The package root is numpy-free: import the trial API
+(``ExperimentConfig``, ``run_experiment``, ...) from ``monkeytyper.simulate``.
 """
 
 from .analysis import (
@@ -39,14 +43,6 @@ from .model import (
     TrialRecord,
 )
 from .scaled import ScaledDecimal, scaled_int_pow
-from .simulate import (
-    ExperimentConfig,
-    RngStream,
-    derive_trial_seed,
-    measure_throughput,
-    run_experiment,
-    run_prefix_trial,
-)
 
 __version__ = "0.1.0"
 
@@ -54,7 +50,6 @@ __all__ = [
     "Alphabet",
     "AlphabetMismatchError",
     "CensusReport",
-    "ExperimentConfig",
     "GrowthModel",
     "HAMLET_PHRASE",
     "LETTERS",
@@ -62,7 +57,6 @@ __all__ = [
     "MeasurementTable",
     "ProjectionRow",
     "ProjectionTable",
-    "RngStream",
     "ScaledDecimal",
     "TargetText",
     "TimeBreakdown",
@@ -70,17 +64,13 @@ __all__ = [
     "build_projection_table",
     "convert_time",
     "corpus_census",
-    "derive_trial_seed",
     "expected_attempts",
     "fit_growth_model",
     "growth_factor",
     "hamlet_soliloquy",
     "log10_series",
-    "measure_throughput",
     "project_series",
     "published_averages",
-    "run_experiment",
-    "run_prefix_trial",
     "scaled_int_pow",
     "success_probability",
 ]

@@ -58,7 +58,10 @@ def growth_factor(values: Sequence[float]) -> float:
         if not (v > 0 and math.isfinite(v)):
             raise ValueError(f"values must be positive and finite, got {v}")
     ratios = [values[i] / values[i - 1] for i in range(1, len(values))]
-    return sum(ratios) / len(ratios)
+    mean = sum(ratios) / len(ratios)
+    if not math.isfinite(mean):
+        raise ValueError(f"the mean ratio of consecutive values {list(values)} is not finite")
+    return mean
 
 
 def fit_growth_model(

@@ -44,6 +44,7 @@ from .analysis import (
     success_probability,
 )
 from .model import (
+    DEFAULT_ATTEMPT_BUDGET,
     LETTERS,
     LETTERS_AND_SPACE,
     Alphabet,
@@ -53,13 +54,6 @@ from .model import (
     read_measurement_csv,
 )
 from .scaled import ScaledDecimal
-from .simulate import (
-    DEFAULT_ATTEMPT_BUDGET,
-    STREAM_VERSION,
-    ExperimentConfig,
-    measure_throughput,
-    run_experiment,
-)
 
 SUMMARY_DIGITS = 3  # headline values match the published 3-significant-figure style
 
@@ -167,15 +161,17 @@ def _project(
 # -- simulate ---------------------------------------------------------------
 
 
-def _simulate(args, alphabet: Alphabet) -> tuple[MeasurementTable, Alphabet]:
+def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[MeasurementTable, Alphabet]:
     """Run the trial matrix the flags describe; return it and the alphabet drawn from.
 
     ``--extend-alphabet`` appends the characters of the trialled prefixes
-    that ``alphabet`` lacks.
+    that ``alphabet`` lacks. ``config`` records the stream version.
     """
+    from .simulate import STREAM_VERSION, ExperimentConfig, run_experiment  # loads numpy
+    config["stream_version"] = STREAM_VERSION
     if args.extend_alphabet:
         alphabet = alphabet.extended_with(args.target[: args.max_prefix])
-    config = ExperimentConfig(
+    experiment = ExperimentConfig(
         target=TargetText(args.target),
         alphabet=alphabet,
         max_prefix_length=args.max_prefix,
@@ -184,14 +180,14 @@ def _simulate(args, alphabet: Alphabet) -> tuple[MeasurementTable, Alphabet]:
         attempt_budget=args.budget,
         worker_count=args.workers,
     )
-    return run_experiment(config), alphabet
+    return run_experiment(experiment), alphabet
 
 
 def cmd_simulate(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
-    table, _ = _simulate(args, alphabet)
+    config = {**vars(args), "alphabet": alphabet.symbols}
+    table, _ = _simulate(config, args, alphabet)
     csv_text = table.to_csv(include_timing=not args.no_timing)
-    config = {**vars(args), "alphabet": alphabet.symbols, "stream_version": STREAM_VERSION}
     lines = [line for line in csv_text.splitlines() if line.startswith(("test,", "average,"))]
     incomplete = table.incomplete_cells()
     warning = f"budget exhausted in {len(incomplete)} cell(s): {incomplete}"
@@ -283,8 +279,7 @@ def cmd_report(args) -> tuple:
     else:
         # from here on, the alphabet the trials drew from (the manifest
         # keeps the parsed one)
-        table, alphabet = _simulate(args, alphabet)
-        config["stream_version"] = STREAM_VERSION
+        table, alphabet = _simulate(config, args, alphabet)
         files["measurements.csv"] = table.to_csv(include_timing=not args.no_timing)
         # fit on what measurements.csv holds: zero times under --no-timing
         _, attempts_base, times_base = read_measurement_csv(files["measurements.csv"])
@@ -314,6 +309,7 @@ def cmd_report(args) -> tuple:
         )
 
     if timed and not args.use_paper_data:
+        from .simulate import measure_throughput
         rate = measure_throughput(alphabet, args.max_prefix, duration_seconds=0.2)
         implied = projection.final.attempts / rate
         summary.append(

@@ -85,6 +85,11 @@ class TargetText:
         return len(self.text)
 
 
+#: Default per-trial attempt cap; keeps prefix lengths >= 6 from running
+#: effectively forever while still being far above any measured mean here.
+DEFAULT_ATTEMPT_BUDGET = 10**10
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One prefix-matching trial: attempts made and wall-clock time spent.

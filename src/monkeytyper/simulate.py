@@ -80,7 +80,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Alphabet, AlphabetMismatchError, MeasurementTable, TargetText, TrialRecord
+from .model import (
+    DEFAULT_ATTEMPT_BUDGET, Alphabet, AlphabetMismatchError, MeasurementTable, TargetText, TrialRecord
+)
 
 _MIN_BATCH = 64
 # Candidates per batch at most. A batch's arrays (128 KiB of words) stay small
@@ -94,10 +96,6 @@ _BLOCK_CANDIDATES = 1 << 16
 
 #: Version of the candidate stream described in the module docstring.
 STREAM_VERSION = 3
-
-#: Default per-trial attempt cap; keeps prefix lengths >= 6 from running
-#: effectively forever while still being far above any measured mean here.
-DEFAULT_ATTEMPT_BUDGET = 10**10
 
 
 @dataclass

@@ -18,20 +18,22 @@ from conftest import ATTEMPTS_BASE, PHRASE, TIMES_BASE
 from monkeytyper import (
     LETTERS_AND_SPACE,
     Alphabet,
-    ExperimentConfig,
-    RngStream,
     TargetText,
     build_projection_table,
     expected_attempts,
     fit_growth_model,
     growth_factor,
     hamlet_soliloquy,
-    measure_throughput,
-    run_experiment,
-    run_prefix_trial,
     success_probability,
 )
 from monkeytyper.cli import main
+from monkeytyper.simulate import (
+    ExperimentConfig,
+    RngStream,
+    measure_throughput,
+    run_experiment,
+    run_prefix_trial,
+)
 
 
 def check(num: str, name: str, ok: bool, detail: str = ""):

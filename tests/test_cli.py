@@ -14,13 +14,13 @@ import pytest
 
 from monkeytyper import (
     Alphabet,
-    ExperimentConfig,
     TargetText,
     TrialRecord,
     cli,
-    run_experiment,
+    simulate,
 )
 from monkeytyper.cli import main
+from monkeytyper.simulate import ExperimentConfig, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 PUBLISHED_TRIALS = Path(__file__).parents[1] / "src/monkeytyper/data/published_trials.csv"
@@ -50,13 +50,17 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def process_env(**env):
+    """The environment plus ``env``, with this checkout's ``src`` first on the path."""
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
 def run_process(argv, **env):
     """``monkeytyper argv`` as a fresh process, with ``env`` added to the environment."""
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-m", "monkeytyper.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=process_env(**env), timeout=60,
     )
 
 
@@ -249,6 +253,18 @@ class TestProject:
         rows = json.loads(read(tmp_path, "projection.json"))
         assert [r["region"] for r in rows] == ["measured"] * 3
         assert [r["attempts"] for r in rows] == ["1.000e0", "2.000e0", "4.000e0"]
+
+    @pytest.mark.parametrize("flag", ["--attempts", "--times"])
+    def test_overflowing_growth_factor_writes_nothing(self, tmp_path, capsys, flag):
+        # finite values whose ratio overflows once surfaced only as
+        # "non-finite value Decimal('Infinity')"
+        argv = ["project", "--attempts", "1,2", "--times", "1,2", "--out", tmp_path / "out"]
+        argv[argv.index(flag) + 1] = "1e-300,1e300"
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the mean ratio of consecutive values [1e-300, 1e+300] is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_from_measurements_file(self, tmp_path):
         run(["simulate", "--target", "abab", "--alphabet", "ab", "--max-prefix", "3",
@@ -608,7 +624,7 @@ class TestReport:
             seen.append(alphabet.symbols)
             return 1e6
 
-        monkeypatch.setattr(cli, "measure_throughput", spy)
+        monkeypatch.setattr(simulate, "measure_throughput", spy)
         code = run(
             ["report", "--target", "ab,", "--alphabet", "ab", "--extend-alphabet",
              "--max-prefix", "3", "--iterations", "2", "--out", tmp_path]
@@ -716,6 +732,39 @@ class TestOutputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "x"
+
+
+class TestNumpyBoundary:
+    """Only the trials draw random numbers, so only they load numpy."""
+
+    @staticmethod
+    def numpy_loaded_after(tmp_path, *commands) -> bool:
+        # a fresh process: this one loaded numpy with the trial tests
+        script = "\n".join([
+            "import sys",
+            "import monkeytyper, monkeytyper.cli",
+            "assert 'numpy' not in sys.modules, 'importing the package loads numpy'",
+            f"for argv in {[list(map(str, argv)) for argv in commands]!r}:",
+            "    assert monkeytyper.cli.main(argv) == 0, argv",
+            "print('numpy' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=process_env(), cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+    def test_commands_without_trials_leave_numpy_unloaded(self, tmp_path):
+        assert not self.numpy_loaded_after(
+            tmp_path,
+            ["prob", "--alphabet-size", "52", "--length", "41"],
+            ["census", "--bundled-hamlet"],
+            ["project", *TABLE_ARGS, "--out", tmp_path / "project"],
+            ["report", "--use-paper-data", "--out", tmp_path / "report"],
+        )
+
+    def test_simulate_loads_numpy(self, tmp_path):
+        # the same probe sees numpy once a command runs trials
+        assert self.numpy_loaded_after(tmp_path, [*MANIFEST_PINS["simulate"], "--out", tmp_path])
 
 
 class TestParserReuse:

@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import decode
-from monkeytyper import (
-    LETTERS_AND_SPACE,
-    Alphabet,
-    AlphabetMismatchError,
+from monkeytyper import LETTERS_AND_SPACE, Alphabet, AlphabetMismatchError, TargetText
+from monkeytyper import simulate
+from monkeytyper.simulate import (
     ExperimentConfig,
     RngStream,
-    TargetText,
+    _block_size,
+    _prefix_key,
+    _run_block,
     derive_trial_seed,
     measure_throughput,
     run_experiment,
     run_prefix_trial,
 )
-from monkeytyper import simulate
-from monkeytyper.simulate import _block_size, _prefix_key, _run_block
 
 AB = Alphabet("ab")
 
