@@ -22,8 +22,8 @@ table = run_experiment(config)
 
 print(f"target {config.target.text!r}, alphabet of {config.alphabet.size} symbols")
 print(f"{'test':>6} " + " ".join(f"{'n=' + str(n):>10}" for n in table.prefix_lengths))
-for i, row in enumerate(table.trials, start=1):
-    print(f"{i:>6} " + " ".join(f"{rec.attempts:>10,}" for rec in row))
+for i, row in enumerate(zip(*table.attempts), start=1):  # attempts[column][iteration]
+    print(f"{i:>6} " + " ".join(f"{attempts:>10,}" for attempts in row))
 print(f"{'mean':>6} " + " ".join(f"{avg:>10,.1f}" for avg in table.attempts_averages))
 
 # The expectation for prefix length n is 53^n; sample means over 5 trials

@@ -26,7 +26,6 @@ from .analysis import (
     fit_growth_model,
     growth_factor,
     log10_series,
-    project_series,
     success_probability,
 )
 from .data import HAMLET_PHRASE, hamlet_soliloquy, published_averages
@@ -69,7 +68,6 @@ __all__ = [
     "growth_factor",
     "hamlet_soliloquy",
     "log10_series",
-    "project_series",
     "published_averages",
     "scaled_int_pow",
     "success_probability",

@@ -61,6 +61,8 @@ def growth_factor(values: Sequence[float]) -> float:
     mean = sum(ratios) / len(ratios)
     if not math.isfinite(mean):
         raise ValueError(f"the mean ratio of consecutive values {list(values)} is not finite")
+    if mean <= 0:  # every ratio underflowed
+        raise ValueError(f"the mean ratio of consecutive values {list(values)} is not positive")
     return mean
 
 
@@ -86,32 +88,13 @@ def fit_growth_model(
     )
 
 
-def project_series(
-    base: Sequence[float], factor: float, total_length: int
-) -> list[ScaledDecimal]:
-    """Geometric projection: echo ``base``, then multiply by ``factor`` per step.
-
-    Values are carried as scaled decimals throughout (the tail reaches 10^69
-    for the full phrase, and doubles would be fine until ~10^308, but one
-    representation for the whole series keeps measured and extrapolated rows
-    directly comparable).
-    """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    if total_length < 0:
-        raise ValueError("total_length must be >= 0")
-    if not base and total_length > 0:
-        raise ValueError("cannot project from an empty base series")
-    if total_length < len(base):
-        raise ValueError(
-            f"projection length {total_length} shorter than base of {len(base)}"
-        )
-    for v in base:
-        if v <= 0:
-            raise ValueError(f"base values must be positive, got {v}")
-    series = [ScaledDecimal.from_float(float(v)) for v in base[:total_length]]
-    scale = ScaledDecimal.from_float(float(factor))
-    while len(series) < total_length:
+def _extend(base: Sequence[float], factor: float, length: int) -> list[ScaledDecimal]:
+    """Echo ``base`` as scaled decimals, then multiply by ``factor`` per step
+    up to ``length`` values: one representation for measured and
+    extrapolated rows alike (the tail reaches 10^69 for the full phrase)."""
+    series = [ScaledDecimal.from_float(v) for v in base]
+    scale = ScaledDecimal.from_float(factor)
+    while len(series) < length:
         series.append(series[-1] * scale)
     return series
 
@@ -123,13 +106,13 @@ def build_projection_table(model: GrowthModel, target: TargetText) -> Projection
     hours None.
     """
     base_len = len(model.attempts_base)
-    attempts = project_series(
-        model.attempts_base, model.attempts_growth_factor, target.length
-    )
+    if target.length < base_len:
+        raise ValueError(f"projection length {target.length} shorter than base of {base_len}")
+    attempts = _extend(model.attempts_base, model.attempts_growth_factor, target.length)
     if model.time_growth_factor is None:
         seconds = [None] * target.length
     else:
-        seconds = project_series(model.times_base, model.time_growth_factor, target.length)
+        seconds = _extend(model.times_base, model.time_growth_factor, target.length)
     rows = []
     for i in range(1, target.length + 1):
         region = "measured" if i <= base_len else "extrapolated"
@@ -144,7 +127,7 @@ def build_projection_table(model: GrowthModel, target: TargetText) -> Projection
                 region=region,
             )
         )
-    return ProjectionTable(target=target.text, rows=tuple(rows))
+    return ProjectionTable(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

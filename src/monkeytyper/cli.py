@@ -48,7 +48,6 @@ from .model import (
     LETTERS,
     LETTERS_AND_SPACE,
     Alphabet,
-    MeasurementTable,
     ProjectionTable,
     TargetText,
     read_measurement_csv,
@@ -161,11 +160,16 @@ def _project(
 # -- simulate ---------------------------------------------------------------
 
 
-def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[MeasurementTable, Alphabet]:
-    """Run the trial matrix the flags describe; return it and the alphabet drawn from.
+def _simulate(
+    config: dict, args, alphabet: Alphabet
+) -> tuple[str, list[tuple[int, int]], Alphabet]:
+    """Run the trial matrix the flags describe.
 
-    ``--extend-alphabet`` appends the characters of the trialled prefixes
-    that ``alphabet`` lacks. ``config`` records the stream version.
+    Returns the ``measurements.csv`` text (elapsed zeroed under
+    ``--no-timing``), the (iteration, prefix length) cells that hit their
+    budget and the alphabet drawn from: ``--extend-alphabet`` appends the
+    characters of the trialled prefixes that ``alphabet`` lacks. ``config``
+    records the stream version.
     """
     from .simulate import STREAM_VERSION, ExperimentConfig, run_experiment  # loads numpy
     config["stream_version"] = STREAM_VERSION
@@ -180,16 +184,15 @@ def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[MeasurementTable,
         attempt_budget=args.budget,
         worker_count=args.workers,
     )
-    return run_experiment(experiment), alphabet
+    table = run_experiment(experiment)
+    return table.to_csv(include_timing=not args.no_timing), table.incomplete_cells(), alphabet
 
 
 def cmd_simulate(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
     config = {**vars(args), "alphabet": alphabet.symbols}
-    table, _ = _simulate(config, args, alphabet)
-    csv_text = table.to_csv(include_timing=not args.no_timing)
+    csv_text, incomplete, _ = _simulate(config, args, alphabet)
     lines = [line for line in csv_text.splitlines() if line.startswith(("test,", "average,"))]
-    incomplete = table.incomplete_cells()
     warning = f"budget exhausted in {len(incomplete)} cell(s): {incomplete}"
     return config, {"measurements.csv": csv_text}, lines, *([warning] if incomplete else [])
 
@@ -279,15 +282,13 @@ def cmd_report(args) -> tuple:
     else:
         # from here on, the alphabet the trials drew from (the manifest
         # keeps the parsed one)
-        table, alphabet = _simulate(config, args, alphabet)
-        files["measurements.csv"] = table.to_csv(include_timing=not args.no_timing)
+        files["measurements.csv"], incomplete, alphabet = _simulate(config, args, alphabet)
         # fit on what measurements.csv holds: zero times under --no-timing
         _, attempts_base, times_base = read_measurement_csv(files["measurements.csv"])
         summary = [
             f"base data: fresh simulation, seed {args.seed}, "
             f"{args.iterations} iterations, prefixes 1..{args.max_prefix}"
         ]
-        incomplete = table.incomplete_cells()
         if incomplete:
             summary.append(f"budget exhausted in cells: {incomplete}")
 

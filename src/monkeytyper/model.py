@@ -281,7 +281,8 @@ class GrowthModel:
     """Measured base series plus the estimated per-character growth factors.
 
     ``time_growth_factor`` is None when the base times have none (one of
-    them is not positive); seconds are then not projected.
+    them is not positive); seconds are then not projected, and the times
+    need not be positive.
     """
 
     attempts_base: tuple[float, ...]
@@ -292,9 +293,15 @@ class GrowthModel:
     def __post_init__(self):
         if len(self.attempts_base) != len(self.times_base):
             raise ValueError("base series must have equal length")
+        if not self.attempts_base:
+            raise ValueError("cannot project from an empty base series")
         factors = (self.attempts_growth_factor, self.time_growth_factor)
         if any(f is not None and f <= 0 for f in factors):
             raise ValueError("growth factors must be positive")
+        timed = self.time_growth_factor is not None
+        for v in (*self.attempts_base, *(self.times_base if timed else ())):
+            if v <= 0:
+                raise ValueError(f"base values must be positive, got {v}")
 
 
 Region = Literal["measured", "extrapolated"]
@@ -317,13 +324,7 @@ class ProjectionRow:
 class ProjectionTable:
     """Per-prefix estimates: measured rows echo the base, the rest extrapolate."""
 
-    target: str
     rows: tuple[ProjectionRow, ...]
-
-    def __post_init__(self):
-        for i, row in enumerate(self.rows, start=1):
-            if row.prefix_len != i or row.text_part != self.target[:i]:
-                raise ValueError(f"row {i} is not the length-{i} prefix of the target")
 
     @property
     def final(self) -> ProjectionRow:

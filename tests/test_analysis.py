@@ -21,7 +21,6 @@ from monkeytyper import (
     growth_factor,
     hamlet_soliloquy,
     log10_series,
-    project_series,
     success_probability,
 )
 from monkeytyper.analysis import JULIAN_YEAR_SECONDS, UNIVERSE_AGE_YEARS
@@ -159,50 +158,58 @@ class TestGrowthFactor:
         assert math.isclose(growth_factor(scaled), growth_factor(values), rel_tol=1e-12)
 
 
+def _project(base, factor, length, time_factor=None):
+    """The projection of a hand-built model whose times equal ``base``."""
+    model = GrowthModel(tuple(base), tuple(base), factor, time_factor)
+    return build_projection_table(model, TargetText("x" * length))
+
+
 class TestProjectSeries:
+    """The geometric series build_projection_table extends from a model's base."""
+
     def test_tiny_projection(self):
-        series = project_series([1.0], 2.0, 3)
-        assert [str(x) for x in series] == ["1.000e0", "2.000e0", "4.000e0"]
+        table = _project([1.0], 2.0, 3, time_factor=2.0)
+        assert [str(row.attempts) for row in table.rows] == ["1.000e0", "2.000e0", "4.000e0"]
+        assert [str(row.seconds) for row in table.rows] == ["1.000e0", "2.000e0", "4.000e0"]
 
     def test_published_position_six(self):
-        series = project_series(ATTEMPTS_BASE, growth_factor(ATTEMPTS_BASE), 41)
-        assert rel_err_float(series[5], 1.70e10) <= 0.02
+        table = _project(ATTEMPTS_BASE, growth_factor(ATTEMPTS_BASE), 41)
+        assert rel_err_float(table.rows[5].attempts, 1.70e10) <= 0.02
 
     def test_published_position_forty_one(self):
-        series = project_series(ATTEMPTS_BASE, growth_factor(ATTEMPTS_BASE), 41)
-        assert rel_err_float(series[40], 2.68e69) <= 0.01
+        table = _project(ATTEMPTS_BASE, growth_factor(ATTEMPTS_BASE), 41)
+        assert rel_err_float(table.rows[40].attempts, 2.68e69) <= 0.01
 
     def test_echoes_base_verbatim(self):
-        series = project_series(ATTEMPTS_BASE, 49.134, 41)
-        for value, base in zip(series, ATTEMPTS_BASE):
-            assert value == ScaledDecimal.from_int(base)
+        table = _project(ATTEMPTS_BASE, 49.134, 41)
+        for row, base in zip(table.rows, ATTEMPTS_BASE):
+            assert row.attempts == ScaledDecimal.from_int(base)
 
     def test_exact_power_series_reproduces_all_powers(self):
         base = [53.0**k for k in range(1, 6)]
-        series = project_series(base, 53.0, 41)
+        table = _project(base, 53.0, 41)
         for n in range(1, 42):
-            assert rel_err(series[n - 1], expected_attempts(53, n)) <= 1e-9
+            assert rel_err(table.rows[n - 1].attempts, expected_attempts(53, n)) <= 1e-9
 
     @given(values=positive_series, scale=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=50)
     def test_scaling_base_scales_projection(self, values, scale):
         factor = 3.7
         length = len(values) + 4
-        plain = project_series(values, factor, length)
-        scaled = project_series([v * scale for v in values], factor, length)
+        plain = _project(values, factor, length).rows
+        scaled = _project([v * scale for v in values], factor, length).rows
         for a, b in zip(plain, scaled):
-            assert rel_err(a * scale, b) <= 1e-12
+            assert rel_err(a.attempts * scale, b.attempts) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty base"):
-            project_series([], 2.0, 3)
+            _project([], 2.0, 3)
         with pytest.raises(ValueError, match="positive"):
-            project_series([1.0, 0.0], 2.0, 3)
+            _project([1.0, 0.0], 2.0, 3)
         with pytest.raises(ValueError, match="factor"):
-            project_series([1.0], 0.0, 3)
+            _project([1.0], 0.0, 3)
         with pytest.raises(ValueError, match="shorter"):
-            project_series([1.0, 2.0], 2.0, 1)
-        assert project_series([], 2.0, 0) == []
+            _project([1.0, 2.0], 2.0, 1)
 
 
 class TestBuildProjectionTable:

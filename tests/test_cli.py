@@ -254,15 +254,27 @@ class TestProject:
         assert [r["region"] for r in rows] == ["measured"] * 3
         assert [r["attempts"] for r in rows] == ["1.000e0", "2.000e0", "4.000e0"]
 
-    @pytest.mark.parametrize("flag", ["--attempts", "--times"])
-    def test_overflowing_growth_factor_writes_nothing(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, values, message",
+        [
+            ("--attempts", "1e-300,1e300", "[1e-300, 1e+300] is not finite"),
+            ("--times", "1e-300,1e300", "[1e-300, 1e+300] is not finite"),
+            ("--attempts", "1e300,1e-300", "[1e+300, 1e-300] is not positive"),
+            ("--times", "1e300,1e-300", "[1e+300, 1e-300] is not positive"),
+        ],
+        ids=["--attempts", "--times", "--attempts-underflow", "--times-underflow"],
+    )
+    def test_overflowing_growth_factor_writes_nothing(
+        self, tmp_path, capsys, flag, values, message
+    ):
         # finite values whose ratio overflows once surfaced only as
-        # "non-finite value Decimal('Infinity')"
+        # "non-finite value Decimal('Infinity')", and one that underflows to a
+        # zero factor as "growth factors must be positive"
         argv = ["project", "--attempts", "1,2", "--times", "1,2", "--out", tmp_path / "out"]
-        argv[argv.index(flag) + 1] = "1e-300,1e300"
+        argv[argv.index(flag) + 1] = values
         assert run(argv) == 2
         assert capsys.readouterr().err == (
-            "error: the mean ratio of consecutive values [1e-300, 1e+300] is not finite\n"
+            f"error: the mean ratio of consecutive values {message}\n"
         )
         assert not (tmp_path / "out").exists()
 

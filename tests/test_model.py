@@ -269,17 +269,25 @@ class TestGrowthModel:
         with pytest.raises(ValueError, match="positive"):
             GrowthModel((1.0,), (1.0,), 0.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "attempts, times, time_factor, message",
+        [
+            ((), (), 2.0, "cannot project from an empty base series"),
+            ((1.0, 0.0), (1.0, 2.0), 2.0, "base values must be positive, got 0.0"),
+            ((1.0, -2.0), (1.0, 2.0), None, "base values must be positive, got -2.0"),
+            ((1.0, 2.0), (1.0, 0.0), 2.0, "base values must be positive, got 0.0"),
+        ],
+    )
+    def test_base_series_checked_at_construction(self, attempts, times, time_factor, message):
+        with pytest.raises(ValueError, match=message):
+            GrowthModel(attempts, times, 2.0, time_factor)
+
 
 def _scaled(v: float) -> ScaledDecimal:
     return ScaledDecimal.from_float(v)
 
 
 class TestProjectionTable:
-    def test_rows_must_be_target_prefixes(self):
-        row = ProjectionRow(1, "X", _scaled(1.0), _scaled(1.0), _scaled(1.0), "measured")
-        with pytest.raises(ValueError, match="prefix"):
-            ProjectionTable(target="To be", rows=(row,))
-
     def test_csv_quotes_fields_with_commas(self):
         rows = tuple(
             ProjectionRow(
@@ -287,14 +295,14 @@ class TestProjectionTable:
             )
             for i in range(1, 7)
         )
-        table = ProjectionTable(target="To be,", rows=rows)
+        table = ProjectionTable(rows=rows)
         text = table.to_csv()
         assert '"To be,"' in text
         assert text.splitlines()[0] == "prefix_len,text_part,attempts,seconds,hours,region"
 
     def test_json_rows(self):
         rows = (ProjectionRow(1, "T", _scaled(60.0), _scaled(1e-4), _scaled(2.78e-8), "measured"),)
-        table = ProjectionTable(target="T", rows=rows)
+        table = ProjectionTable(rows=rows)
         payload = table.to_json_rows()
         assert payload[0]["attempts"] == "6.000e1"
         assert payload[0]["region"] == "measured"
