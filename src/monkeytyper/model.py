@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -330,12 +331,18 @@ class ProjectionTable:
     def final(self) -> ProjectionRow:
         return self.rows[-1]
 
-    def to_csv(self, fmt=None) -> str:
-        """The rows of :meth:`to_json_rows` as CSV under ``PROJECTION_CSV_HEADER``."""
+    def to_csv(self, rows: Optional[list[dict]] = None) -> str:
+        """``rows`` as CSV under ``PROJECTION_CSV_HEADER``, None as an empty field.
+
+        ``rows`` are :meth:`to_json_rows` output, by default in the plain
+        format; a caller that also writes JSON passes the rows it formatted
+        once for both files.
+        """
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, PROJECTION_CSV_HEADER, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(self.to_json_rows(fmt))
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(PROJECTION_CSV_HEADER)
+        fields = operator.itemgetter(*PROJECTION_CSV_HEADER)
+        writer.writerows(map(fields, self.to_json_rows() if rows is None else rows))
         return buf.getvalue()
 
     def to_json_rows(self, fmt=None) -> list[dict]:

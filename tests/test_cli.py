@@ -1,5 +1,7 @@
+import collections
 import csv
 import decimal
+import io
 import json
 import os
 import re
@@ -9,17 +11,25 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monkeytyper import (
     Alphabet,
+    ProjectionTable,
+    ScaledDecimal,
     TargetText,
     TrialRecord,
+    build_projection_table,
     cli,
+    fit_growth_model,
     simulate,
 )
 from monkeytyper.cli import main
+from monkeytyper.model import PROJECTION_CSV_HEADER
 from monkeytyper.simulate import ExperimentConfig, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,6 +43,18 @@ TABLE_ARGS = [
     "--times",
     "0.0001,0.006,0.36,22.355,1097.5",
 ]
+TABLE_ATTEMPTS, TABLE_TIMES = ([float(v) for v in TABLE_ARGS[i].split(",")] for i in (1, 3))
+
+# Targets of at least the five base characters, mixing what JSON or CSV must
+# escape or quote with any character UTF-8 can encode (no lone surrogate).
+HOSTILE_TARGETS = st.lists(
+    st.one_of(
+        st.sampled_from(['"', "\\", ",", "}, {", "\n", "\t", "\u2028", "é", "\U0001f648"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    min_size=5,
+    max_size=45,
+).map("".join)
 
 
 # Every manifest key is pinned for one run of each file-emitting command.
@@ -412,6 +434,45 @@ class TestProject:
         assert exc.value.code == 2
         assert not (tmp_path / "proj").exists()
 
+    def test_measurements_with_a_byte_order_mark(self, tmp_path):
+        # the BOM once made the first column "\ufefftest", so the file was
+        # refused with "measurements file lacks columns: ['test']"
+        bom_copy = tmp_path / "bom.csv"
+        bom_copy.write_bytes(b"\xef\xbb\xbf" + PUBLISHED_TRIALS.read_bytes())
+        for name, path in (("plain", PUBLISHED_TRIALS), ("bom", bom_copy)):
+            assert run(["project", "--measurements", path, "--out", tmp_path / name]) == 0
+        plain, bom = (
+            {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+             if p.name != "manifest.json"}
+            for name in ("plain", "bom")
+        )
+        assert "projection.json" in plain
+        assert bom == plain
+
+    @pytest.mark.parametrize("encoder", ["c", "python"])
+    @pytest.mark.parametrize("style", [[], ["--paper-style"]], ids=["plain", "paper-style"])
+    @settings(max_examples=40, deadline=None)
+    @given(target=HOSTILE_TARGETS)
+    def test_emitters_match_the_stdlib_reference(self, encoder, style, target):
+        # projection.json is json.dumps(rows, indent=2), whichever JSON
+        # encoder runs, and projection.csv is csv.DictWriter's rendering
+        rows = build_projection_table(
+            fit_growth_model(TABLE_ATTEMPTS, TABLE_TIMES), TargetText(target)
+        ).to_json_rows(cli._paper_style if style else str)
+        reference_csv = io.StringIO()
+        writer = csv.DictWriter(reference_csv, PROJECTION_CSV_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert json.encoder.c_make_encoder is not None  # else "c" tests nothing
+        c_encoder = json.encoder.c_make_encoder if encoder == "c" else None
+        with mock.patch.object(json.encoder, "c_make_encoder", c_encoder):
+            args = cli.build_parser().parse_args(
+                ["project", *TABLE_ARGS, f"--target={target}", *style]
+            )
+            _, files, _ = args.func(args)
+        assert files["projection.json"] == json.dumps(rows, indent=2) + "\n"
+        assert files["projection.csv"] == reference_csv.getvalue()
+
 
 class TestProb:
     def test_phrase(self, capsys):
@@ -523,6 +584,25 @@ class TestReport:
         assert "8.18e62" in summary
         assert "9.32e55" in summary  # published years figure, flagged not reproduced
         assert "census" in summary
+
+    def test_formats_each_projection_value_once(self, tmp_path, monkeypatch):
+        # projection.csv and projection.json once formatted the rows each
+        calls = collections.Counter()
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(ProjectionTable, "to_json_rows")
+        count(ScaledDecimal, "to_string")
+        assert run(["report", "--use-paper-data", "--out", tmp_path]) == 0
+        # 41 rows x 3 values, plus the 7 summary figures
+        assert calls == {"to_json_rows": 1, "to_string": 130}
 
     def test_published_data_bundle_files(self, tmp_path):
         run(["report", "--use-paper-data", "--out", tmp_path])
