@@ -1,8 +1,9 @@
 """Convert projected attempt counts into time without trusting trial clocks.
 
 Per-trial wall clocks are noisy and hardware-bound. A cleaner route to a
-time estimate: measure this machine's candidate throughput once, then
-divide projected attempts by it. The resulting series is monotone in prefix
+time estimate: take this machine's candidate throughput from a short run's
+longest column (its trials' attempts over their seconds), then divide
+projected attempts by it. The resulting series is monotone in prefix
 length by construction, unlike raw trial timings.
 """
 
@@ -16,10 +17,18 @@ from monkeytyper import (
     build_projection_table,
 )
 from monkeytyper.analysis import UNIVERSE_AGE_YEARS
-from monkeytyper.simulate import measure_throughput
+from monkeytyper.simulate import ExperimentConfig, run_experiment
 
-rate = measure_throughput(LETTERS_AND_SPACE, length=5, duration_seconds=0.3)
-print(f"this machine generates about {rate:,.0f} length-5 candidates per second")
+config = ExperimentConfig(
+    target=TargetText(HAMLET_PHRASE),
+    alphabet=LETTERS_AND_SPACE,
+    max_prefix_length=4,
+    iterations=3,
+    seed=0,
+)
+trials = run_experiment(config)
+rate = trials.attempts_averages[-1] / trials.time_averages[-1]
+print(f"this machine generates about {rate:,.0f} length-4 candidates per second")
 
 published = published_averages()
 model = fit_growth_model(published["attempts"], published["seconds"])

@@ -76,8 +76,6 @@ def fit_growth_model(
     factor: the model's ``time_growth_factor`` is None and nothing about
     seconds is projected from it.
     """
-    if len(attempts_base) != len(times_base):
-        raise ValueError("attempts and times series must have equal length")
     attempts_factor = growth_factor(attempts_base)
     untimed = all(map(math.isfinite, times_base)) and min(times_base) <= 0
     return GrowthModel(

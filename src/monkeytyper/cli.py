@@ -179,16 +179,14 @@ def _project(
 # -- simulate ---------------------------------------------------------------
 
 
-def _simulate(
-    config: dict, args, alphabet: Alphabet
-) -> tuple[str, list[tuple[int, int]], Alphabet]:
+def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[str, list[tuple[int, int]]]:
     """Run the trial matrix the flags describe.
 
-    Returns the ``measurements.csv`` text (elapsed zeroed under
-    ``--no-timing``), the (iteration, prefix length) cells that hit their
-    budget and the alphabet drawn from: ``--extend-alphabet`` appends the
-    characters of the trialled prefixes that ``alphabet`` lacks. ``config``
-    records the stream version.
+    ``--extend-alphabet`` draws from ``alphabet`` plus the characters of the
+    trialled prefixes it lacks. Returns the ``measurements.csv`` text
+    (elapsed zeroed under ``--no-timing``) and the (iteration, prefix
+    length) cells that hit their budget. ``config`` records the stream
+    version.
     """
     from .simulate import STREAM_VERSION, ExperimentConfig, run_experiment  # loads numpy
     config["stream_version"] = STREAM_VERSION
@@ -204,13 +202,13 @@ def _simulate(
         worker_count=args.workers,
     )
     table = run_experiment(experiment)
-    return table.to_csv(include_timing=not args.no_timing), table.incomplete_cells(), alphabet
+    return table.to_csv(include_timing=not args.no_timing), table.incomplete_cells()
 
 
 def cmd_simulate(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
     config = {**vars(args), "alphabet": alphabet.symbols}
-    csv_text, incomplete, _ = _simulate(config, args, alphabet)
+    csv_text, incomplete = _simulate(config, args, alphabet)
     lines = [line for line in csv_text.splitlines() if line.startswith(("test,", "average,"))]
     warning = f"budget exhausted in {len(incomplete)} cell(s): {incomplete}"
     return config, {"measurements.csv": csv_text}, lines, *([warning] if incomplete else [])
@@ -277,7 +275,7 @@ def cmd_census(args) -> tuple:
     if args.bundled_hamlet:
         text, source = data.hamlet_soliloquy(), "bundled soliloquy"
     else:
-        text, source = Path(args.file).read_text(encoding="utf-8"), str(args.file)
+        text, source = Path(args.file).read_text(encoding="utf-8-sig"), str(args.file)
     lines = _census_lines(corpus_census(text), source)
     config = {
         "source": "bundled-hamlet" if args.bundled_hamlet else str(args.file),
@@ -299,9 +297,7 @@ def cmd_report(args) -> tuple:
         attempts_base, times_base = published["attempts"], published["seconds"]
         summary = ["base data: published per-prefix averages (ten trials, prefixes 1..5)"]
     else:
-        # from here on, the alphabet the trials drew from (the manifest
-        # keeps the parsed one)
-        files["measurements.csv"], incomplete, alphabet = _simulate(config, args, alphabet)
+        files["measurements.csv"], incomplete = _simulate(config, args, alphabet)
         # fit on what measurements.csv holds: zero times under --no-timing
         _, attempts_base, times_base = read_measurement_csv(files["measurements.csv"])
         summary = [
@@ -329,8 +325,9 @@ def cmd_report(args) -> tuple:
         )
 
     if timed and not args.use_paper_data:
-        from .simulate import measure_throughput
-        rate = measure_throughput(alphabet, args.max_prefix, duration_seconds=0.2)
+        # the longest column's candidates per trial second: both averages
+        # divide its totals by the same count of completed trials
+        rate = attempts_base[-1] / times_base[-1]
         implied = projection.final.attempts / rate
         summary.append(
             f"measured throughput: {rate:.3e} candidates/s at length {args.max_prefix}; "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
-from importlib import resources
+import os
 
 #: The 41-character target phrase.
 HAMLET_PHRASE = "To be, or not to be, that is the Question"
@@ -27,7 +27,9 @@ PUBLISHED_SOLILOQUY_LENGTH = 1520
 
 
 def _read_text(name: str) -> str:
-    return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
+    # a plain file beside this module; a zipped package is not a data source
+    with open(os.path.join(os.path.dirname(__file__), name), encoding="utf-8") as f:
+        return f.read()
 
 
 @functools.cache

@@ -145,23 +145,12 @@ def _batch_rows(space: int, trials: int) -> int:
     return min(_MAX_BATCH, max(_MIN_BATCH, rows))
 
 
-def _candidate_space(alphabet_size: int, length: int) -> int:
-    """``alphabet_size ** length``, the number of distinct candidates.
-
-    Raises ``ValueError`` above ``2^64``, where keys no longer fit in a
-    uint64 and a trial could never finish.
-    """
-    space = alphabet_size**length
-    if space > 2**64:
-        raise ValueError(
-            f"alphabet size {alphabet_size} to the power {length} exceeds 2^64 "
-            f"candidates; no trial of that length can finish"
-        )
-    return space
-
-
 def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> tuple[int, int]:
-    """Validate a prefix of ``target``; return its key and its candidate space."""
+    """Validate a prefix of ``target``; return its key and its candidate space.
+
+    The space ``A^n`` may be at most ``2^64``: above it keys no longer fit
+    in a uint64 and a trial could never finish.
+    """
     if not 1 <= prefix_length <= target.length:
         raise ValueError(
             f"prefix_length {prefix_length} outside 1..{target.length}"
@@ -170,7 +159,12 @@ def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> t
     missing = alphabet.missing_from(prefix)
     if missing:
         raise AlphabetMismatchError(missing, context=f"target prefix {prefix!r}")
-    space = _candidate_space(alphabet.size, prefix_length)
+    space = alphabet.size**prefix_length
+    if space > 2**64:
+        raise ValueError(
+            f"alphabet size {alphabet.size} to the power {prefix_length} exceeds 2^64 "
+            f"candidates; no trial of that length can finish"
+        )
     key = 0
     for code in alphabet.encode(prefix):
         key = key * alphabet.size + code
@@ -350,32 +344,3 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
         column_seeds += [seed] * len(attempts)
         column_completed += completed
     return MeasurementTable.from_trials(prefix_lengths, *zip(*columns.values()))
-
-
-def measure_throughput(
-    alphabet: Alphabet, length: int, duration_seconds: float = 0.25
-) -> float:
-    """Candidate generations per second for this alphabet and length.
-
-    Draws candidates and compares them with key 0 through the trial
-    kernel's draw-and-match step, in whole batches until
-    ``duration_seconds`` have passed (at least one batch), and returns
-    count / elapsed. Any key costs the same: up to ``2^32`` candidates, one
-    32-bit word and one interval test per candidate. This is the preferred
-    way to turn projected attempt counts into projected durations: it
-    sidesteps the noisy per-trial wall clocks.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if duration_seconds <= 0:
-        raise ValueError("duration_seconds must be positive")
-
-    space = _candidate_space(alphabet.size, length)
-    stream = RngStream(0)
-    generated = 0
-    start = time.perf_counter()
-    while True:
-        generated += _matches(stream, 0, space, _MAX_BATCH)[1]
-        elapsed = time.perf_counter() - start
-        if elapsed >= duration_seconds:
-            return generated / max(elapsed, 1e-9)

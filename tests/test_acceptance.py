@@ -30,7 +30,6 @@ from monkeytyper.cli import main
 from monkeytyper.simulate import (
     ExperimentConfig,
     RngStream,
-    measure_throughput,
     run_experiment,
     run_prefix_trial,
 )
@@ -298,7 +297,13 @@ def test_criterion_9_census_report(capsys):
 def test_note_throughput_and_projected_time_monotonicity(capsys):
     # Wall-clock tables are hardware-bound; the property checked instead:
     # throughput is positive and attempts/throughput grows with prefix length.
-    rate = measure_throughput(LETTERS_AND_SPACE, 5, duration_seconds=0.1)
+    # The rate is that of a short run's longest column, as report measures it.
+    config = ExperimentConfig(
+        target=TargetText(PHRASE), alphabet=LETTERS_AND_SPACE,
+        max_prefix_length=4, iterations=3, seed=0,
+    )
+    trials = run_experiment(config)
+    rate = trials.attempts_averages[-1] / trials.time_averages[-1]
     model = fit_growth_model(ATTEMPTS_BASE, TIMES_BASE)
     table = build_projection_table(model, TargetText(PHRASE))
     projected = [row.attempts / rate for row in table.rows]

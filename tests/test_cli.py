@@ -26,7 +26,6 @@ from monkeytyper import (
     build_projection_table,
     cli,
     fit_growth_model,
-    simulate,
 )
 from monkeytyper.cli import main
 from monkeytyper.model import PROJECTION_CSV_HEADER
@@ -88,6 +87,22 @@ def run_process(argv, **env):
 
 def read(out_dir, name):
     return (out_dir / name).read_text()
+
+
+def throughput_line(out_dir, target):
+    """The throughput line a timed simulating report must print: the rate
+    is the last ``average`` row's attempts over its elapsed seconds."""
+    rows = list(csv.reader(read(out_dir, "measurements.csv").splitlines()))
+    averages = [row for row in rows if row[0] == "average"]
+    attempts, elapsed = float(averages[-1][2]), float(averages[-1][3])
+    rate = attempts / elapsed
+    model = fit_growth_model(*([float(row[i]) for row in averages] for i in (2, 3)))
+    implied = build_projection_table(model, TargetText(target)).final.attempts / rate
+    return (
+        f"measured throughput: {rate:.3e} candidates/s at length "
+        f"{len(averages)}; throughput-implied seconds for the full target: "
+        f"{implied.to_string(cli.SUMMARY_DIGITS)}"
+    )
 
 
 class TestSimulate:
@@ -404,6 +419,14 @@ class TestProject:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "proj").exists()
 
+    def test_unequal_base_lengths_exit_2(self, tmp_path, capsys):
+        # GrowthModel alone checks the lengths
+        code = run(["project", "--attempts", "60,3101,159174", "--times", "0.1,0.2",
+                    "--out", tmp_path / "proj"])
+        assert code == 2
+        assert "equal length" in capsys.readouterr().err
+        assert not (tmp_path / "proj").exists()
+
     def test_requires_two_base_points(self, tmp_path, capsys):
         code = run(["project", "--attempts", "60", "--times", "0.1", "--out", tmp_path])
         assert code != 0
@@ -567,6 +590,17 @@ class TestCensus:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == in_process
 
+    def test_byte_order_mark_is_not_counted(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"ab c\n")
+        marked.write_bytes(b"\xef\xbb\xbfab c\n")
+        censuses = []
+        for path in (plain, marked):
+            assert run(["census", "--file", path]) == 0
+            censuses.append(capsys.readouterr().out.splitlines()[1:])  # past the file name
+        assert censuses[0] == censuses[1]
+        assert re.search(r"raw\s+5\b", censuses[1][0])
+
     def test_optional_out(self, tmp_path):
         run(["census", "--bundled-hamlet", "--out", tmp_path])
         assert "1520" in read(tmp_path, "census.txt")
@@ -663,7 +697,7 @@ class TestReport:
         assert (tmp_path / "measurements.csv").exists()
         summary = read(tmp_path, "summary.txt")
         assert "fresh simulation, seed 21" in summary
-        assert "measured throughput" in summary
+        assert throughput_line(tmp_path, "abab") in summary.splitlines()
 
     def test_fresh_simulation_no_timing_bundles_are_byte_identical(self, tmp_path, capsys):
         # fitted on the zeroed times: attempts only, no throughput figure
@@ -708,25 +742,30 @@ class TestReport:
             report_bytes = (tmp_path / "report" / name).read_bytes()
             assert report_bytes == (tmp_path / "project" / name).read_bytes(), name
 
-    def test_extend_alphabet_reaches_the_throughput_measurement(self, tmp_path, monkeypatch):
-        # the throughput line must describe the alphabet the trials drew from
-        seen = []
-
-        def spy(alphabet, *args, **kwargs):
-            seen.append(alphabet.symbols)
-            return 1e6
-
-        monkeypatch.setattr(simulate, "measure_throughput", spy)
+    def test_extend_alphabet_reaches_the_throughput_measurement(self, tmp_path):
+        # the throughput line describes the trials, which drew from "ab,"
         code = run(
             ["report", "--target", "ab,", "--alphabet", "ab", "--extend-alphabet",
              "--max-prefix", "3", "--iterations", "2", "--out", tmp_path]
         )
         assert code == 0
-        assert seen == ["ab,"]
         assert "average,3," in read(tmp_path, "measurements.csv")
+        assert throughput_line(tmp_path, "ab,") in read(tmp_path, "summary.txt").splitlines()
         # the manifest keeps the parsed alphabet next to the flag
         config = json.loads(read(tmp_path, "manifest.json"))["config"]
         assert (config["alphabet"], config["extend_alphabet"]) == ("ab", True)
+
+    def test_throughput_is_the_rate_of_the_last_column(self, tmp_path, capsys):
+        # no separate measuring loop: the rate comes from the measurements.csv
+        # the report writes, budget-capped trials included, and the line is
+        # on stdout as in summary.txt
+        code = run(
+            ["report", "--target", "To be", "--alphabet", "letters+space", "--max-prefix", "3",
+             "--iterations", "6", "--seed", "3", "--budget", "300000", "--out", tmp_path]
+        )
+        assert code == 0
+        assert "budget exhausted in cells: [(1, 3)]" in read(tmp_path, "summary.txt")
+        assert throughput_line(tmp_path, "To be") in capsys.readouterr().out.splitlines()
 
     def test_stream_version_recorded_only_when_simulating(self, tmp_path):
         run(["report", "--use-paper-data", "--out", tmp_path / "paper"])

@@ -1,4 +1,4 @@
-from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from monkeytyper import (
     ScaledDecimal,
     TargetText,
     TrialRecord,
+    data,
 )
 from monkeytyper.model import ProjectionRow, ProjectionTable, read_measurement_csv
 
@@ -246,8 +247,8 @@ class TestMeasurementTable:
             read_measurement_csv("test,prefix_len,attempts,elapsed_seconds\n")
 
     def test_bundled_published_matrix(self):
-        csv_text = resources.files("monkeytyper.data").joinpath("published_trials.csv")
-        lengths, attempts, times = read_measurement_csv(csv_text.read_text(encoding="utf-8"))
+        csv_path = Path(data.__file__).with_name("published_trials.csv")
+        lengths, attempts, times = read_measurement_csv(csv_path.read_text(encoding="utf-8"))
         assert lengths == [1, 2, 3, 4, 5]
         assert attempts == [float(v) for v in ATTEMPTS_BASE]
         # the published average row displays 0.000 s for prefix 1
@@ -264,8 +265,9 @@ class TestMeasurementTable:
 
 class TestGrowthModel:
     def test_validation(self):
-        with pytest.raises(ValueError, match="equal length"):
-            GrowthModel((1.0,), (1.0, 2.0), 2.0, 2.0)
+        for attempts, times in [((1.0,), (1.0, 2.0)), ((1.0, 2.0), (1.0,))]:
+            with pytest.raises(ValueError, match="equal length"):
+                GrowthModel(attempts, times, 2.0, 2.0)
         with pytest.raises(ValueError, match="positive"):
             GrowthModel((1.0,), (1.0,), 0.0, 2.0)
 

@@ -18,7 +18,6 @@ from monkeytyper.simulate import (
     _prefix_key,
     _run_block,
     derive_trial_seed,
-    measure_throughput,
     run_experiment,
     run_prefix_trial,
 )
@@ -325,6 +324,21 @@ class TestWordKernel:
         found, drawn = word_kernel_hits(seed, key, space)
         assert found == bounded_draw_hits(seed, key, space, drawn)
 
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_draws_one_integer_per_candidate(self, length):
+        # a candidate of any length is one 32-bit half-word of the stream
+        # (a rare rejected one aside), so the cost per candidate does not
+        # grow with its length: a batch of ``rows`` candidates reads
+        # ``rows / 2`` raw 64-bit words and yields nearly ``rows`` candidates
+        space = LETTERS_AND_SPACE.size**length
+        stream, shadow = RngStream(length), np.random.PCG64()
+        for rows in (2**14, 2**15, 2**15):
+            shadow.state = stream._generator.bit_generator.state
+            _, count = simulate._matches(stream, 0, space, rows)
+            shadow.random_raw(rows // 2)
+            assert shadow.state == stream._generator.bit_generator.state
+            assert 0.95 * rows < count <= rows
+
     def test_space_one_consumes_no_word(self):
         # numpy's bounded draw of [0, 1) reads nothing from the stream
         stream = RngStream(3)
@@ -526,45 +540,3 @@ class TestRunExperiment:
                 table.attempts_averages[j + 1]
                 >= table.attempts_averages[j] - noise
             )
-
-
-class TestMeasureThroughput:
-    def test_rate_is_strictly_positive(self):
-        assert measure_throughput(AB, 2, duration_seconds=0.02) > 0
-
-    def test_draws_one_integer_per_candidate(self, monkeypatch):
-        # a candidate of any length is one 32-bit half-word of the stream
-        # (a rare rejected one aside), so the cost per candidate does not
-        # grow with its length: a batch of ``rows`` candidates reads
-        # ``rows / 2`` raw 64-bit words and yields nearly ``rows`` candidates
-        batches = []
-        matches = simulate._matches
-
-        def recorded(rng, key, space, rows):
-            shadow = np.random.PCG64()
-            shadow.state = rng._generator.bit_generator.state
-            hits, count = matches(rng, key, space, rows)
-            shadow.random_raw((rows + 1) // 2)
-            same = shadow.state == rng._generator.bit_generator.state
-            batches.append((space, rows, count, same))
-            return hits, count
-
-        monkeypatch.setattr(simulate, "_matches", recorded)
-        for length in (1, 3, 5):
-            batches.clear()
-            rate = measure_throughput(LETTERS_AND_SPACE, length, duration_seconds=0.01)
-            assert batches and rate > 0
-            for space, rows, count, same in batches:
-                assert space == 53**length and same
-                assert 0.95 * rows < count <= rows
-
-    def test_candidate_space_above_2_to_the_64_is_rejected(self):
-        measure_throughput(AB, 64, duration_seconds=0.01)
-        with pytest.raises(ValueError, match=r"2\^64"):
-            measure_throughput(AB, 65, duration_seconds=0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            measure_throughput(AB, 0, duration_seconds=0.01)
-        with pytest.raises(ValueError):
-            measure_throughput(AB, 1, duration_seconds=0.0)
