@@ -7,12 +7,11 @@ concurrently.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from typing import Sequence
 
 from .data import PUBLISHED_SOLILOQUY_LENGTH
-from .model import GrowthModel, ProjectionRow, ProjectionTable, TargetText
+from .model import LETTERS_AND_SPACE, GrowthModel, ProjectionRow, ProjectionTable, TargetText
 from .scaled import ScaledDecimal, scaled_int_pow
 
 #: Julian year, the year length every time conversion uses: the published
@@ -24,7 +23,7 @@ UNIVERSE_AGE_YEARS = 1.38e10
 
 SECONDS_PER_HOUR = ScaledDecimal.from_int(3600)
 
-_LETTERS_AND_SPACE = (string.ascii_letters + " ").encode()
+_LETTERS_AND_SPACE = LETTERS_AND_SPACE.symbols.encode()
 
 
 def success_probability(alphabet_size: int, n: int) -> ScaledDecimal:
@@ -74,10 +73,11 @@ def fit_growth_model(
     Finite times of which one is zero or negative (``--no-timing`` zeroes
     them; the published matrix shows 0.000 s at prefix 1) have no growth
     factor: the model's ``time_growth_factor`` is None and nothing about
-    seconds is projected from it.
+    seconds is projected from it. The model, not this function, rejects
+    series of unequal length.
     """
     attempts_factor = growth_factor(attempts_base)
-    untimed = all(map(math.isfinite, times_base)) and min(times_base) <= 0
+    untimed = all(map(math.isfinite, times_base)) and min(times_base, default=0.0) <= 0
     return GrowthModel(
         attempts_base=tuple(float(v) for v in attempts_base),
         times_base=tuple(float(v) for v in times_base),

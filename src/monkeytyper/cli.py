@@ -179,14 +179,14 @@ def _project(
 # -- simulate ---------------------------------------------------------------
 
 
-def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[str, list[tuple[int, int]]]:
+def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[str, list[str]]:
     """Run the trial matrix the flags describe.
 
     ``--extend-alphabet`` draws from ``alphabet`` plus the characters of the
     trialled prefixes it lacks. Returns the ``measurements.csv`` text
-    (elapsed zeroed under ``--no-timing``) and the (iteration, prefix
-    length) cells that hit their budget. ``config`` records the stream
-    version.
+    (elapsed zeroed under ``--no-timing``) and the line naming the
+    (iteration, prefix length) cells that hit their budget, if any.
+    ``config`` records the stream version.
     """
     from .simulate import STREAM_VERSION, ExperimentConfig, run_experiment  # loads numpy
     config["stream_version"] = STREAM_VERSION
@@ -202,26 +202,24 @@ def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[str, list[tuple[i
         worker_count=args.workers,
     )
     table = run_experiment(experiment)
-    return table.to_csv(include_timing=not args.no_timing), table.incomplete_cells()
+    incomplete = table.incomplete_cells()
+    notes = [f"budget exhausted in cells: {incomplete}"] if incomplete else []
+    return table.to_csv(include_timing=not args.no_timing), notes
 
 
 def cmd_simulate(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
     config = {**vars(args), "alphabet": alphabet.symbols}
-    csv_text, incomplete = _simulate(config, args, alphabet)
+    csv_text, notes = _simulate(config, args, alphabet)
     lines = [line for line in csv_text.splitlines() if line.startswith(("test,", "average,"))]
-    warning = f"budget exhausted in {len(incomplete)} cell(s): {incomplete}"
-    return config, {"measurements.csv": csv_text}, lines, *([warning] if incomplete else [])
+    return config, {"measurements.csv": csv_text}, lines, *notes
 
 
 # -- project ----------------------------------------------------------------
 
 
 def _parse_float_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
-    return values
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
 def cmd_project(args) -> tuple:
@@ -295,22 +293,23 @@ def cmd_report(args) -> tuple:
     if args.use_paper_data:
         published = data.published_averages()
         attempts_base, times_base = published["attempts"], published["seconds"]
+        if args.no_timing:  # no seconds are projected from a zero time
+            times_base = [0.0] * len(times_base)
         summary = ["base data: published per-prefix averages (ten trials, prefixes 1..5)"]
     else:
-        files["measurements.csv"], incomplete = _simulate(config, args, alphabet)
+        files["measurements.csv"], notes = _simulate(config, args, alphabet)
         # fit on what measurements.csv holds: zero times under --no-timing
         _, attempts_base, times_base = read_measurement_csv(files["measurements.csv"])
         summary = [
             f"base data: fresh simulation, seed {args.seed}, "
-            f"{args.iterations} iterations, prefixes 1..{args.max_prefix}"
+            f"{args.iterations} iterations, prefixes 1..{args.max_prefix}",
+            *notes,
         ]
-        if incomplete:
-            summary.append(f"budget exhausted in cells: {incomplete}")
 
     summary.append(f"projection target: {args.target!r} ({len(args.target)} characters)")
     projection = _project(config, files, summary, attempts_base, times_base)
     timed = projection.final.seconds is not None
-    if timed:
+    if timed and args.use_paper_data and args.target == data.HAMLET_PHRASE:
         summary.append(
             "for reference, the published study quotes 9.32e55 years and 6.75e45 "
             "universe ages for this seconds value; neither follows from any "
@@ -362,8 +361,8 @@ def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-timing",
         action="store_true",
-        help="zero measurements.csv's elapsed column for byte-stable output "
-        "(report then projects attempts only)",
+        help="zero the measured (or, with --use-paper-data, the published) times "
+        "for byte-stable output; report then projects attempts only",
     )
     parser.add_argument(
         "--extend-alphabet",

@@ -20,10 +20,10 @@ from .scaled import ScaledDecimal
 class AlphabetMismatchError(ValueError):
     """A required character is not a member of the alphabet in use."""
 
-    def __init__(self, missing: str, context: str = "text"):
+    def __init__(self, missing: str, text: str):
         self.missing = missing
         listed = ", ".join(repr(c) for c in missing)
-        super().__init__(f"{context} contains characters not in the alphabet: {listed}")
+        super().__init__(f"{text!r} contains characters not in the alphabet: {listed}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Alphabet:
         """Map text to symbol indices. Raises on unknown characters."""
         missing = self.missing_from(text)
         if missing:
-            raise AlphabetMismatchError(missing)
+            raise AlphabetMismatchError(missing, text)
         return [self._index[c] for c in text]
 
     def extended_with(self, chars: str) -> "Alphabet":

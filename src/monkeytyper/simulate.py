@@ -81,7 +81,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    DEFAULT_ATTEMPT_BUDGET, Alphabet, AlphabetMismatchError, MeasurementTable, TargetText, TrialRecord
+    DEFAULT_ATTEMPT_BUDGET, Alphabet, MeasurementTable, TargetText, TrialRecord
 )
 
 _MIN_BATCH = 64
@@ -155,10 +155,7 @@ def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> t
         raise ValueError(
             f"prefix_length {prefix_length} outside 1..{target.length}"
         )
-    prefix = target.text[:prefix_length]
-    missing = alphabet.missing_from(prefix)
-    if missing:
-        raise AlphabetMismatchError(missing, context=f"target prefix {prefix!r}")
+    codes = alphabet.encode(target.text[:prefix_length])
     space = alphabet.size**prefix_length
     if space > 2**64:
         raise ValueError(
@@ -166,7 +163,7 @@ def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> t
             f"candidates; no trial of that length can finish"
         )
     key = 0
-    for code in alphabet.encode(prefix):
+    for code in codes:
         key = key * alphabet.size + code
     return key, space
 

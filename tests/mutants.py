@@ -1,0 +1,247 @@
+"""Mutation check: every mutant listed here must make the tier-1 suite fail.
+
+Each mutant names one file under ``src/``, an exact old text that must occur
+in it exactly once, the new text that replaces it, and why the mutant
+matters. The script copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``README.md`` into a temporary directory, checks that the unmutated suite
+passes there, and then, one mutant at a time, writes the mutated file, runs
+the tier-1 suite with ``-x`` and restores the file. A mutant under which the
+suite still passes has survived: its check, or its line, is one no test can
+make fail.
+
+The script exits 1 if a mutant survives or if an old text does not occur
+exactly once, so a refactor updates the list instead of silently dropping a
+mutant. A mutant's run is cut at five times the unmutated suite's time
+plus 30 s and then counts as killed, since a suite that hangs fails too
+(a miscounting trial kernel can run for minutes before a test fails).
+Mutants whose effect cannot differ from the original are kept in
+``EQUIVALENT``, with the reason: their old texts are checked too, but they
+are not run.
+
+Usage: ``python tests/mutants.py [NAME ...]``; ``--list`` prints the names.
+pytest does not collect this file (its name does not start with
+``test_``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+BASELINE_TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/monkeytyper
+    old: str
+    new: str
+    why: str
+
+
+MUTANTS = (
+    Mutant(
+        "expected-attempts-guard", "analysis.py",
+        '"""Mean geometric waiting time A^n, from the exact power rounded once."""\n'
+        "    if alphabet_size < 1 or n < 1:",
+        '"""Mean geometric waiting time A^n, from the exact power rounded once."""\n'
+        "    if False:",
+        "expected_attempts(52, 0) would return 1.000e0",
+    ),
+    Mutant(
+        "int-pow-base-guard", "scaled.py",
+        "    if base < 1:\n",
+        "    if False:\n",
+        "scaled_int_pow(0, -3) would fail on a non-finite Infinity, not on its base",
+    ),
+    Mutant(
+        "empty-measurements-guard", "model.py",
+        "    if reader.fieldnames is None:\n",
+        "    if False:\n",
+        "project --measurements on an empty file would end in a TypeError traceback",
+    ),
+    Mutant(
+        "trial-budget-guard", "simulate.py",
+        "    if budget is not None and budget < 1:\n",
+        "    if False:\n",
+        "run_prefix_trial(..., budget=0) would fail on TrialRecord's attempts check instead",
+    ),
+    Mutant(
+        "prefix-length-zero", "simulate.py",
+        "    if not 1 <= prefix_length <= target.length:\n",
+        "    if not 0 <= prefix_length <= target.length:\n",
+        "a prefix length of 0 would run a trial before TrialRecord rejects it",
+    ),
+    Mutant(
+        "alphabet-guard", "model.py",
+        "        if missing:\n            raise AlphabetMismatchError(missing, text)",
+        "        if False:\n            raise AlphabetMismatchError(missing, text)",
+        "Alphabet.encode is the one owner of the alphabet rule for trial prefixes",
+    ),
+    Mutant(
+        "growth-model-lengths", "model.py",
+        "if len(self.attempts_base) != len(self.times_base):",
+        "if len(self.attempts_base) < len(self.times_base):",
+        "GrowthModel is the one owner of the equal-length rule",
+    ),
+    Mutant(
+        "empty-times-min", "analysis.py",
+        "min(times_base, default=0.0)",
+        "min(times_base)",
+        "an empty times series must reach GrowthModel's length check",
+    ),
+    Mutant(
+        "match-start-adjustment", "simulate.py",
+        "        lo += 1\n",
+        "        pass\n",
+        "a rejected first word of the key's interval would count as a hit",
+    ),
+    Mutant(
+        "match-rejection-count", "simulate.py",
+        "    if not threshold:  # a power of two: no word is rejected",
+        "    if True:  # a power of two: no word is rejected",
+        "rejected words would count as candidates, off numpy's bounded draw",
+    ),
+    Mutant(
+        "match-rejection-count-without-hits", "simulate.py",
+        "return hits, words.size - np.count_nonzero(mask)",
+        "return hits, words.size",
+        "a batch without a hit would count its rejected words as candidates",
+    ),
+    Mutant(
+        "match-high-half-first", "simulate.py",
+        'raw.astype("<u8", copy=False).view("<u4")',
+        'raw.astype(">u8", copy=False).view(">u4")',
+        "numpy's 32-bit draw takes the low half of each word first",
+    ),
+    Mutant(
+        "match-without-searchsorted", "simulate.py",
+        "return hits - rejected.searchsorted(hits), words.size - rejected.size",
+        "return hits, words.size - rejected.size",
+        "a hit's position must drop by the rejected words before it",
+    ),
+    Mutant(
+        "block-gap-off-by-one", "simulate.py",
+        "attempts.append(position - start + 1)",
+        "attempts.append(position - start + 2)",
+        "a trial's attempts include the matching candidate, and no more",
+    ),
+    Mutant(
+        "rows-json-indent", "cli.py",
+        r'inner.replace("},\n    {", "\n  },\n  {\n    ")',
+        r'inner.replace("},\n    {", "\n  },\n  {\n     ")',
+        "projection.json must equal json.dumps(rows, indent=2) byte for byte",
+    ),
+    Mutant(
+        "published-quote-target", "cli.py",
+        "if timed and args.use_paper_data and args.target == data.HAMLET_PHRASE:",
+        "if timed:",
+        "the published years describe the paper's seconds value only",
+    ),
+    Mutant(
+        "paper-data-no-timing", "cli.py",
+        "        if args.no_timing:  # no seconds are projected from a zero time\n",
+        "        if False:  # no seconds are projected from a zero time\n",
+        "report --use-paper-data --no-timing must project attempts only",
+    ),
+)
+
+EQUIVALENT = (
+    Mutant(
+        "to-string-digits-guard", "scaled.py",
+        "        if significant_digits < 1:\n",
+        "        if significant_digits < 0:\n",
+        "to_string(0) still raises ValueError: Context(prec=0) rejects the precision itself",
+    ),
+)
+
+
+def check_anchors(mutants) -> list[str]:
+    """One line per mutant whose old text does not occur exactly once."""
+    problems = []
+    for m in mutants:
+        count = (ROOT / "src" / "monkeytyper" / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            problems.append(f"{m.name}: old text occurs {count} times in {m.path}")
+    return problems
+
+
+def run_suite(tree: Path, timeout: float) -> tuple[str, float]:
+    """``passed``, ``failed`` or ``timeout`` for tier-1 with ``-x`` in ``tree``,
+    and the seconds it took."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p
+        ),
+        PYTHONDONTWRITEBYTECODE="1",  # a restored file must not meet a stale .pyc
+    )
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    start = time.perf_counter()
+    try:
+        result = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    return ("passed" if result.returncode == 0 else "failed"), time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.why}")
+        return 0
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    problems = check_anchors(MUTANTS + EQUIVALENT)
+    for line in problems:
+        print(line)
+    if problems:
+        return 1
+    selected = [m for m in MUTANTS if not argv or m.name in argv]
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+                shutil.copytree(source, tree / name, ignore=ignore)
+            else:
+                shutil.copy2(source, tree / name)
+        outcome, baseline = run_suite(tree, BASELINE_TIMEOUT_S)
+        if outcome != "passed":
+            print("the unmutated suite does not pass; no mutant can be judged")
+            return 1
+        timeout = 5 * baseline + 30
+        print(f"unmutated suite passed in {baseline:.1f} s; each mutant is cut at {timeout:.0f} s")
+        survivors = []
+        for m in selected:
+            path = tree / "src" / "monkeytyper" / m.path
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                outcome, seconds = run_suite(tree, timeout)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            verdict = "SURVIVED" if outcome == "passed" else f"killed ({outcome})"
+            print(f"{m.name}: {verdict} in {seconds:.1f} s", flush=True)
+            if outcome == "passed":
+                survivors.append(m)
+    for m in survivors:
+        print(f"survivor {m.name} ({m.path}): {m.why}")
+    print(f"{len(selected) - len(survivors)} of {len(selected)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

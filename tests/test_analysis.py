@@ -113,6 +113,12 @@ class TestExpectedAttempts:
         assert expected_attempts(53, 5) == ScaledDecimal.from_int(53**5)
         assert 53**5 == 418_195_493
 
+    @pytest.mark.parametrize("size,n", [(52, 0), (0, 3)])
+    def test_validation(self, size, n):
+        # without its own check, 52^0 comes back as 1.000e0
+        with pytest.raises(ValueError, match="alphabet size and length must be positive"):
+            expected_attempts(size, n)
+
 
 class TestGrowthFactor:
     def test_exact_geometric_series(self):
@@ -280,6 +286,11 @@ class TestBuildProjectionTable:
     def test_target_shorter_than_base_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             build_projection_table(self.model(), TargetText("To"))
+
+    def test_empty_times_fail_on_their_length(self):
+        # the model owns the length check, and an empty times series reaches it
+        with pytest.raises(ValueError, match="base series must have equal length"):
+            fit_growth_model([1.0, 2.0, 3.0], [])
 
     def test_empty_base_rejected(self):
         with pytest.raises(ValueError, match="empty base"):

@@ -178,6 +178,17 @@ class TestSimulate:
         assert code != 0
         assert "','" in capsys.readouterr().err
 
+    def test_budget_capped_cells_worded_as_in_the_report(self, tmp_path, capsys):
+        # one sentence for both commands: simulate prints it on stderr,
+        # report in its summary
+        flags = ["--target", "To be", "--alphabet", "letters+space", "--max-prefix", "2",
+                 "--iterations", "50", "--seed", "42", "--budget", "3000", "--no-timing"]
+        assert run(["simulate", *flags, "--out", tmp_path / "simulate"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("budget exhausted in cells: [(")
+        assert run(["report", *flags, "--out", tmp_path / "report"]) == 0
+        assert err[0] in read(tmp_path / "report", "summary.txt").splitlines()
+
     def test_no_timing_runs_are_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
             run(["simulate", "--target", "abab", "--alphabet", "ab", "--max-prefix", "3",
@@ -419,6 +430,30 @@ class TestProject:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "proj").exists()
 
+    def test_empty_measurements_file_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "measurements.csv"
+        csv_path.write_text("")
+        code = run(["project", "--measurements", csv_path, "--out", tmp_path / "proj"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: empty measurements file\n"
+        assert not (tmp_path / "proj").exists()
+
+    @pytest.mark.parametrize(
+        "attempts,times,message",
+        [
+            ("1,2,3", "", "base series must have equal length"),
+            ("", "", "need at least 2 values to estimate a growth factor"),
+        ],
+        ids=["empty-times", "both-empty"],
+    )
+    def test_empty_lists_exit_2(self, tmp_path, capsys, attempts, times, message):
+        # the list parser leaves the series' shape to growth_factor and GrowthModel
+        code = run(["project", "--attempts", attempts, "--times", times,
+                    "--out", tmp_path / "D"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "D").exists()
+
     def test_unequal_base_lengths_exit_2(self, tmp_path, capsys):
         # GrowthModel alone checks the lengths
         code = run(["project", "--attempts", "60,3101,159174", "--times", "0.1,0.2",
@@ -618,6 +653,38 @@ class TestReport:
         assert "8.18e62" in summary
         assert "9.32e55" in summary  # published years figure, flagged not reproduced
         assert "census" in summary
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--target", "ab", "--alphabet", "ab", "--max-prefix", "2", "--iterations", "3",
+             "--budget", "1"],
+            ["--use-paper-data", "--target", "To be"],
+        ],
+        ids=["fresh-simulation", "paper-data-other-target"],
+    )
+    def test_published_quote_only_beside_the_published_value(self, tmp_path, capsys, flags):
+        # the quoted years and universe ages describe the paper's seconds for
+        # its full phrase, not any other timed report
+        assert run(["report", *flags, "--out", tmp_path]) == 0
+        summary = read(tmp_path, "summary.txt")
+        assert capsys.readouterr().out == summary
+        assert "estimated seconds: " in summary
+        assert "9.32e55" not in summary and "published study quotes" not in summary
+
+    def test_published_data_no_timing_projects_attempts_only(self, tmp_path, capsys):
+        # --no-timing zeroes the published times, so no seconds are projected
+        assert run(["report", "--use-paper-data", "--no-timing", "--out", tmp_path]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        manifest = json.loads(read(tmp_path, "manifest.json"))
+        assert "seconds_log10.csv" not in manifest["outputs"]
+        assert not (tmp_path / "seconds_log10.csv").exists()
+        assert cli.SECONDS_OMITTED in stdout
+        assert manifest["config"]["seconds_projection"] == cli.SECONDS_OMITTED
+        assert not any(line.startswith("estimated") or "9.32e55" in line for line in stdout)
+        assert any(line.endswith("attempts 2.68e69") for line in stdout)
+        golden = (GOLDEN / "report" / "attempts_log10.csv").read_text()
+        assert read(tmp_path, "attempts_log10.csv") == golden
 
     def test_formats_each_projection_value_once(self, tmp_path, monkeypatch):
         # projection.csv and projection.json once formatted the rows each

@@ -42,6 +42,12 @@ class TestAlphabet:
         with pytest.raises(AlphabetMismatchError, match="','"):
             LETTERS_AND_SPACE.encode("To be, or")
 
+    def test_encode_error_names_the_text(self):
+        message = r"^'a,b\.' contains characters not in the alphabet: ',', '\.'$"
+        with pytest.raises(AlphabetMismatchError, match=message) as exc:
+            Alphabet("ab").encode("a,b.")
+        assert exc.value.missing == ",."
+
     def test_missing_from_keeps_first_seen_order(self):
         assert Alphabet("ab").missing_from("a,b.c,") == ",.c"
 

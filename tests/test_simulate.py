@@ -119,6 +119,22 @@ class TestRunPrefixTrial:
         with pytest.raises(ValueError):
             run_prefix_trial(TargetText("ab"), 0, AB, RngStream(1))
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_prefix_length_outside_the_target_names_the_range(self, n):
+        # TrialRecord rejects prefix length 0 too, but only after a trial ran
+        with pytest.raises(ValueError, match=rf"prefix_length {n} outside 1\.\.2"):
+            run_prefix_trial(TargetText("ab"), n, AB, RngStream(1))
+
+    def test_alphabet_error_names_the_prefix_it_checked(self):
+        message = "'To be,' contains characters not in the alphabet: ','"
+        with pytest.raises(AlphabetMismatchError, match=f"^{message}$"):
+            run_prefix_trial(TargetText("To be, or"), 6, LETTERS_AND_SPACE, RngStream(1))
+
+    def test_budget_must_be_positive(self):
+        # the trial's own check, before TrialRecord's attempts check
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=0)
+
     def test_budget_exhaustion_is_reported_not_raised(self):
         # seed 0 needs 4 attempts unconstrained, so a budget of 2 must stop it
         rec = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=2)
