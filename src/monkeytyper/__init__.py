@@ -33,7 +33,6 @@ from .model import (
     LETTERS,
     LETTERS_AND_SPACE,
     Alphabet,
-    AlphabetMismatchError,
     GrowthModel,
     MeasurementTable,
     ProjectionRow,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "AlphabetMismatchError",
     "CensusReport",
     "GrowthModel",
     "HAMLET_PHRASE",

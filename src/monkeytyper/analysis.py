@@ -7,8 +7,8 @@ concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .data import PUBLISHED_SOLILOQUY_LENGTH
 from .model import LETTERS_AND_SPACE, GrowthModel, ProjectionRow, ProjectionTable, TargetText

@@ -26,8 +26,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from . import __version__, data
 from .analysis import (
@@ -218,10 +218,6 @@ def cmd_simulate(args) -> tuple:
 # -- project ----------------------------------------------------------------
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
 def cmd_project(args) -> tuple:
     if args.measurements is not None:
         csv_text = Path(args.measurements).read_text(encoding="utf-8-sig")
@@ -232,8 +228,11 @@ def cmd_project(args) -> tuple:
             )
         source = str(args.measurements)
     else:
-        attempts_base = _parse_float_list(args.attempts)
-        times_base = _parse_float_list(args.times)
+        lists = {"--attempts": args.attempts, "--times": args.times}
+        for flag, text in lists.items():
+            if not all(map(str.strip, text.split(","))):
+                raise ValueError(f"{flag} has an empty field: {text!r}")
+        attempts_base, times_base = ([float(v) for v in t.split(",")] for t in lists.values())
         source = "lists"
     config = {
         "target": args.target,

@@ -10,20 +10,11 @@ import csv
 import io
 import operator
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Optional, Sequence
 
 from .scaled import ScaledDecimal
-
-
-class AlphabetMismatchError(ValueError):
-    """A required character is not a member of the alphabet in use."""
-
-    def __init__(self, missing: str, text: str):
-        self.missing = missing
-        listed = ", ".join(repr(c) for c in missing)
-        super().__init__(f"{text!r} contains characters not in the alphabet: {listed}")
 
 
 @dataclass(frozen=True)
@@ -52,10 +43,12 @@ class Alphabet:
         return "".join(dict.fromkeys(c for c in text if c not in self._index))
 
     def encode(self, text: str) -> list[int]:
-        """Map text to symbol indices. Raises on unknown characters."""
+        """Map text to symbol indices. Raises ``ValueError`` naming the
+        text and its unknown characters."""
         missing = self.missing_from(text)
         if missing:
-            raise AlphabetMismatchError(missing, text)
+            listed = ", ".join(map(repr, missing))
+            raise ValueError(f"{text!r} contains characters not in the alphabet: {listed}")
         return [self._index[c] for c in text]
 
     def extended_with(self, chars: str) -> "Alphabet":
@@ -289,7 +282,7 @@ class GrowthModel:
     attempts_base: tuple[float, ...]
     times_base: tuple[float, ...]
     attempts_growth_factor: float
-    time_growth_factor: Optional[float]
+    time_growth_factor: float | None
 
     def __post_init__(self):
         if len(self.attempts_base) != len(self.times_base):
@@ -305,9 +298,6 @@ class GrowthModel:
                 raise ValueError(f"base values must be positive, got {v}")
 
 
-Region = Literal["measured", "extrapolated"]
-
-
 @dataclass(frozen=True)
 class ProjectionRow:
     """One prefix's estimates; ``seconds`` and ``hours`` are None when the
@@ -316,9 +306,9 @@ class ProjectionRow:
     prefix_len: int
     text_part: str
     attempts: ScaledDecimal
-    seconds: Optional[ScaledDecimal]
-    hours: Optional[ScaledDecimal]
-    region: Region
+    seconds: ScaledDecimal | None
+    hours: ScaledDecimal | None
+    region: str  # "measured" or "extrapolated"
 
 
 @dataclass(frozen=True)
@@ -331,28 +321,23 @@ class ProjectionTable:
     def final(self) -> ProjectionRow:
         return self.rows[-1]
 
-    def to_csv(self, rows: Optional[list[dict]] = None) -> str:
-        """``rows`` as CSV under ``PROJECTION_CSV_HEADER``, None as an empty field.
-
-        ``rows`` are :meth:`to_json_rows` output, by default in the plain
-        format; a caller that also writes JSON passes the rows it formatted
-        once for both files.
-        """
+    def to_csv(self, rows: list[dict]) -> str:
+        """``rows``, :meth:`to_json_rows` output, as CSV under
+        ``PROJECTION_CSV_HEADER``, None as an empty field: the rows are
+        formatted once for both projection files."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(PROJECTION_CSV_HEADER)
         fields = operator.itemgetter(*PROJECTION_CSV_HEADER)
-        writer.writerows(map(fields, self.to_json_rows() if rows is None else rows))
+        writer.writerows(map(fields, rows))
         return buf.getvalue()
 
-    def to_json_rows(self, fmt=None) -> list[dict]:
-        """One dict per row; ``fmt`` maps a ScaledDecimal to its printed form.
-
-        The default is the plain ``<mantissa>e<exponent>`` serialization.
-        Seconds and hours that were not projected stay None: ``null`` in
-        JSON, an empty CSV field.
+    def to_json_rows(self, fmt) -> list[dict]:
+        """One dict per row; ``fmt`` maps a ScaledDecimal to its printed form
+        (``str`` for the plain ``<mantissa>e<exponent>``). Seconds and hours
+        that were not projected stay None: ``null`` in JSON, an empty CSV
+        field.
         """
-        fmt = fmt or str
         return [
             {
                 "prefix_len": row.prefix_len,

@@ -10,8 +10,9 @@ value back as ``mantissa * 10**exponent``; ``to_string`` prints it as
 ``<mantissa>e<exponent>``.
 
 Only the arithmetic this domain needs is provided: construction from ints
-and floats, multiplication, division, integer powers, and ``log10`` out.
-This is deliberately not a general bignum library.
+and floats, multiplication and division by a scaled value or a float,
+integer powers, and ``log10`` out. This is deliberately not a general
+bignum library.
 
 ``log10`` is the float log of the mantissa plus the exact exponent. It is
 within one ulp of ``max(1, |log10|)`` of the correctly rounded value, and
@@ -100,10 +101,8 @@ class ScaledDecimal:
         """Serialize as ``<mantissa>e<exponent>``, e.g. ``4.404e-71``.
 
         The mantissa is padded to exactly ``significant_digits`` digits so
-        output is byte-stable.
+        output is byte-stable; fewer than one digit raises ``ValueError``.
         """
-        if significant_digits < 1:
-            raise ValueError("significant_digits must be >= 1")
         # Round in a context of our own first: format() rounds in the
         # caller's thread-local context, and the rounded value formats exactly.
         rounded = _rounding_context(significant_digits).plus(self.value)
@@ -121,8 +120,6 @@ def _rounding_context(digits: int) -> Context:
 def _coerce(value) -> ScaledDecimal:
     if isinstance(value, ScaledDecimal):
         return value
-    if isinstance(value, int):
-        return ScaledDecimal.from_int(value)
     if isinstance(value, float):
         return ScaledDecimal.from_float(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as ScaledDecimal")

@@ -76,7 +76,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -208,7 +207,7 @@ def _run_block(
     space: int,
     rng: RngStream,
     trials: int,
-    budget: Optional[int],
+    budget: int | None,
 ) -> tuple[list[int], list[bool], float]:
     """The first ``trials`` trials of the block drawn from ``rng``.
 
@@ -248,7 +247,7 @@ def run_prefix_trial(
     prefix_length: int,
     alphabet: Alphabet,
     rng: RngStream,
-    budget: Optional[int] = DEFAULT_ATTEMPT_BUDGET,
+    budget: int | None = DEFAULT_ATTEMPT_BUDGET,
 ) -> TrialRecord:
     """Generate fresh candidates until one equals the target prefix.
 
@@ -280,7 +279,7 @@ class ExperimentConfig:
     max_prefix_length: int = 5
     iterations: int = 10
     seed: int = 0
-    attempt_budget: Optional[int] = DEFAULT_ATTEMPT_BUDGET
+    attempt_budget: int | None = DEFAULT_ATTEMPT_BUDGET
     worker_count: int = 1
 
     def __post_init__(self):

@@ -8,7 +8,6 @@ the slow extension of criterion 6 is deselected by default
 import json
 import math
 import re
-import statistics
 import string
 import time
 
@@ -27,12 +26,7 @@ from monkeytyper import (
     success_probability,
 )
 from monkeytyper.cli import main
-from monkeytyper.simulate import (
-    ExperimentConfig,
-    RngStream,
-    run_experiment,
-    run_prefix_trial,
-)
+from monkeytyper.simulate import ExperimentConfig, run_experiment
 
 
 def check(num: str, name: str, ok: bool, detail: str = ""):
@@ -153,12 +147,15 @@ def test_criterion_4_growth_factor_values(capsys):
 
 
 def test_criterion_5_small_alphabet_statistical_oracle(capsys):
-    alphabet, target = Alphabet("ab"), TargetText("ab")
-    stream = RngStream(2025)
-    start = time.perf_counter()
-    mean = statistics.mean(
-        run_prefix_trial(target, 2, alphabet, stream).attempts for _ in range(10_000)
+    config = ExperimentConfig(
+        target=TargetText("ab"),
+        alphabet=Alphabet("ab"),
+        max_prefix_length=2,
+        iterations=10_000,
+        seed=2025,
     )
+    start = time.perf_counter()
+    mean = run_experiment(config).attempts_averages[1]  # the n = 2 column
     elapsed = time.perf_counter() - start
     ok = 3.90 <= mean <= 4.10 and elapsed < 1.0
     with capsys.disabled():

@@ -275,8 +275,9 @@ class TestBuildProjectionTable:
         assert all(row.seconds is None and row.hours is None for row in table.rows)
         attempts, seconds = log10_series(table)
         assert len(attempts) == 41 and seconds == []
-        assert table.to_json_rows()[0]["seconds"] is None
-        assert table.to_csv().splitlines()[1] == "1,T,6.000e1,,,measured"
+        rows = table.to_json_rows(str)
+        assert rows[0]["seconds"] is None
+        assert table.to_csv(rows).splitlines()[1] == "1,T,6.000e1,,,measured"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_base_time_still_fails(self, bad):

@@ -225,6 +225,16 @@ class TestSimulate:
         assert code == 0
         assert built == []
 
+    def test_budget_zero_disables_the_cap(self, tmp_path):
+        flags = ["--target", "ab", "--alphabet", "ab", "--max-prefix", "2",
+                 "--iterations", "3", "--no-timing"]
+        assert run(["simulate", *flags, "--budget", "0", "--out", tmp_path / "zero"]) == 0
+        assert run(["simulate", *flags, "--out", tmp_path / "default"]) == 0
+        assert '"budget": null' in read(tmp_path / "zero", "manifest.json")
+        assert read(tmp_path / "zero", "measurements.csv") == read(
+            tmp_path / "default", "measurements.csv"
+        )
+
     def test_rerun_from_manifest_reproduces_attempts(self, tmp_path):
         run(["simulate", "--target", "abab", "--alphabet", "ab", "--max-prefix", "3",
              "--iterations", "4", "--seed", "99", "--no-timing", "--out", tmp_path / "a"])
@@ -441,14 +451,18 @@ class TestProject:
     @pytest.mark.parametrize(
         "attempts,times,message",
         [
-            ("1,2,3", "", "base series must have equal length"),
-            ("", "", "need at least 2 values to estimate a growth factor"),
+            ("1,2,3", "", "--times has an empty field: ''"),
+            ("", "", "--attempts has an empty field: ''"),
+            ("60,,3101,159174", "0.1,0.2,0.3", "--attempts has an empty field: '60,,3101,159174'"),
+            ("60,3101,159174,", "0.1,0.2,0.3", "--attempts has an empty field: '60,3101,159174,'"),
+            ("60,3101,159174", "0.1, ,0.3", "--times has an empty field: '0.1, ,0.3'"),
         ],
-        ids=["empty-times", "both-empty"],
+        ids=["empty-times", "both-empty", "doubled-comma", "trailing-comma", "blank-field"],
     )
     def test_empty_lists_exit_2(self, tmp_path, capsys, attempts, times, message):
-        # the list parser leaves the series' shape to growth_factor and GrowthModel
-        code = run(["project", "--attempts", attempts, "--times", times,
+        # an empty list is one empty field; a skipped field once dropped a
+        # value without a word and projected from the rest
+        code = run(["project", "--attempts", attempts, "--times", times, "--target", "To be",
                     "--out", tmp_path / "D"])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -215,6 +215,11 @@ class TestRepresentation:
         assert build(5.0, -1).to_string(2) == "5.0e-1"
         assert build(5.0, -1).to_string(1) == "5e-1"
 
+    def test_to_string_rejects_fewer_than_one_digit(self):
+        # the rounding context's own precision check
+        with pytest.raises(ValueError):
+            build(5.0, -1).to_string(0)
+
     def test_to_string_carry_renormalizes(self):
         assert ScaledDecimal(Decimal("9.9999e5")).to_string(4) == "1.000e6"
 
@@ -232,7 +237,15 @@ class TestRepresentation:
 
     def test_works_with_plain_numbers(self):
         assert ScaledDecimal.from_float(3600.0) / 3600.0 == ScaledDecimal.from_int(1)
-        assert 2 * build(3.0, 1) == ScaledDecimal.from_int(60)
+        assert 2.0 * build(3.0, 1) == ScaledDecimal.from_int(60)
+
+    @pytest.mark.parametrize("other", ["2", 2], ids=["str", "int"])
+    def test_other_operands_name_their_type(self, other):
+        # a float or a scaled value only; an int is converted with from_int
+        name = type(other).__name__
+        for operate in (lambda x: x * other, lambda x: other * x, lambda x: x / other):
+            with pytest.raises(TypeError, match=f"^cannot interpret {name} as ScaledDecimal$"):
+                operate(build(3.0, 1))
 
 
 def test_precision_is_at_least_thirty_digits():
