@@ -288,6 +288,11 @@ def cmd_report(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
     config = {**vars(args), "alphabet": alphabet.symbols}
     files: dict[str, str] = {}
+    odds = [  # first, so a bad --prob-alphabet-size fails before any trial
+        f"success probability ({args.prob_alphabet_size} symbols, {n} chars): "
+        f"{success_probability(args.prob_alphabet_size, n).to_string(SUMMARY_DIGITS)}"
+        for n in (len(args.target), data.PUBLISHED_SOLILOQUY_LENGTH)
+    ]
 
     if args.use_paper_data:
         published = data.published_averages()
@@ -315,12 +320,7 @@ def cmd_report(args) -> tuple:
             "standard year length, so both are reported verbatim, not reproduced."
         )
 
-    for n in (len(args.target), data.PUBLISHED_SOLILOQUY_LENGTH):
-        p = success_probability(args.prob_alphabet_size, n)
-        summary.append(
-            f"success probability ({args.prob_alphabet_size} symbols, {n} chars): "
-            f"{p.to_string(SUMMARY_DIGITS)}"
-        )
+    summary += odds
 
     if timed and not args.use_paper_data:
         # the longest column's candidates per trial second: both averages

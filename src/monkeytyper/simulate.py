@@ -83,10 +83,9 @@ from .model import (
     DEFAULT_ATTEMPT_BUDGET, Alphabet, MeasurementTable, TargetText, TrialRecord
 )
 
-_MIN_BATCH = 64
-# Candidates per batch at most. A batch's arrays (128 KiB of words) stay small
-# enough for malloc to keep reusing the same heap pages; at twice the size
-# they were faulted in afresh on every batch and the kernel ran at half speed.
+# Candidates per batch at most; below it a batch draws its open trials' mean
+# need, A^n each. Its 128 KiB of words keep malloc on the same heap pages; at
+# twice the size they were faulted in afresh per batch, at half the speed.
 _MAX_BATCH = 1 << 15
 
 #: Candidates a block spans at most, ``K_n * A^n <= 2^16`` (see the module
@@ -134,14 +133,6 @@ def derive_trial_seed(seed: int, iteration: int, prefix_length: int) -> int:
 def _block_size(alphabet_size: int, prefix_length: int) -> int:
     """``K_n``, the number of consecutive iterations that share one stream."""
     return max(1, _BLOCK_CANDIDATES // alphabet_size**prefix_length)
-
-
-def _batch_rows(space: int, trials: int) -> int:
-    # About one standard deviation past the expected wait for ``trials``
-    # matches, so a block mostly needs one draw and over-draws little; the
-    # drawn candidate sequence itself is batch-size invariant.
-    rows = (trials + math.isqrt(trials)) * space
-    return min(_MAX_BATCH, max(_MIN_BATCH, rows))
 
 
 def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> tuple[int, int]:
@@ -224,7 +215,7 @@ def _run_block(
     clock = time.perf_counter()
     while len(attempts) < trials:
         left = trials - len(attempts)
-        rows = min(_batch_rows(space, left), start + left * limit - drawn)
+        rows = min(_MAX_BATCH, left * space, start + left * limit - drawn)
         hits, count = _matches(rng, key, space, rows)
         hits += drawn
         drawn += count

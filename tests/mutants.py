@@ -136,6 +136,53 @@ MUTANTS = (
         "a trial's attempts include the matching candidate, and no more",
     ),
     Mutant(
+        "batch-rule-overdraw", "simulate.py",
+        "left * space,", "(left + 1) * space,",
+        "a batch draws the open trials' mean need and no more",
+    ),
+    Mutant(
+        "growth-factor-mean", "analysis.py",
+        "mean = sum(ratios) / len(ratios)",
+        "mean = sum(ratios) / (len(ratios) + 1)",
+        "criterion 4: the growth factor is the mean of the successive ratios",
+    ),
+    Mutant(
+        "success-probability-power", "analysis.py",
+        "scaled_int_pow(alphabet_size, -n)",
+        "scaled_int_pow(alphabet_size, -(n - 1))",
+        "criterion 1: the odds of one candidate are A^-n",
+    ),
+    Mutant(
+        "expected-attempts-power", "analysis.py",
+        "scaled_int_pow(alphabet_size, n)",
+        "scaled_int_pow(alphabet_size, n + 1)",
+        "criterion 7: a geometric wait has mean A^n",
+    ),
+    Mutant(
+        "census-collapsed-whitespace", "analysis.py",
+        '" ".join(text.split())',
+        '"".join(text.split())',
+        "criterion 9: collapsed whitespace keeps one space per run",
+    ),
+    Mutant(
+        "projection-length", "analysis.py",
+        "while len(series) < length:",
+        "while len(series) < length - 1:",
+        "criteria 2-3: the projection reaches the full target length",
+    ),
+    Mutant(
+        "trial-seed-order", "simulate.py",
+        "SeedSequence((seed, iteration, prefix_length))",
+        "SeedSequence((seed, prefix_length, iteration))",
+        "criterion 8: a block's seed is keyed by (seed, iteration, prefix length)",
+    ),
+    Mutant(
+        "julian-year", "analysis.py",
+        "years = seconds / JULIAN_YEAR_SECONDS",
+        "years = seconds / 3.1536e7",
+        "the years figure divides by the Julian year, not 365 days",
+    ),
+    Mutant(
         "rows-json-indent", "cli.py",
         r'inner.replace("},\n    {", "\n  },\n  {\n    ")',
         r'inner.replace("},\n    {", "\n  },\n  {\n     ")',

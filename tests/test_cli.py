@@ -700,6 +700,18 @@ class TestReport:
         golden = (GOLDEN / "report" / "attempts_log10.csv").read_text()
         assert read(tmp_path, "attempts_log10.csv") == golden
 
+    def test_bad_odds_flag_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # the summary's odds lines are computed before the trials, so a bad
+        # --prob-alphabet-size exits at once and leaves no --out directory
+        def no_trials(config):
+            raise AssertionError("the trials ran before --prob-alphabet-size was checked")
+
+        monkeypatch.setattr("monkeytyper.simulate.run_experiment", no_trials)
+        out = tmp_path / "bad"
+        assert run(["report", "--prob-alphabet-size", "0", "--out", out]) == 2
+        assert "alphabet size and length must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_formats_each_projection_value_once(self, tmp_path, monkeypatch):
         # projection.csv and projection.json once formatted the rows each
         calls = collections.Counter()

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import statistics
 from collections import Counter
 
@@ -409,6 +411,44 @@ class TestBlockKernel:
             assert len(set(seeds)) == 1
             rates = [e / a for a, e in zip(attempts, elapsed)]
             assert max(rates) - min(rates) <= 1e-9 * max(rates)
+
+    @pytest.mark.parametrize(
+        "symbols,text,trials,budget",
+        [
+            ("ab", "a", 1, None),  # one trial over two symbols: 2 candidates
+            ("ab", "aba", 7, None),
+            ("ab", "abb", 9, 3),  # the budget room binds
+            (LETTERS_AND_SPACE.symbols, "To", 23, None),  # the 2^15 cap binds
+            (LETTERS_AND_SPACE.symbols, "To be ", 2, 1000),  # 53^6 > 2^32: the bounded draw
+        ],
+        ids=["one-trial", "seven-trials", "budget-room", "cap", "64-bit"],
+    )
+    def test_batch_is_the_open_trials_expected_need(
+        self, monkeypatch, symbols, text, trials, budget
+    ):
+        # every batch asks for min(2^15, left * A^n, budget room): the open
+        # trials' mean need, so a block over-draws little at any size
+        alphabet = Alphabet(symbols)
+        key, space = _prefix_key(TargetText(text), len(text), alphabet)
+        batches = []  # (candidates asked, candidates drawn)
+        matches = simulate._matches
+
+        def spy(rng, key, space, rows):
+            hits, count = matches(rng, key, space, rows)
+            batches.append((rows, count))
+            return hits, count
+
+        monkeypatch.setattr(simulate, "_matches", spy)
+        attempts, _, _ = _run_block(key, space, RngStream(11), trials, budget)
+        ends = [0, *itertools.accumulate(attempts)]  # trial j spans ends[j]..ends[j+1]-1
+        limit = math.inf if budget is None else budget
+        assert batches[0][0] == min(2**15, trials * space, trials * limit)
+        drawn = 0
+        for rows, count in batches:
+            closed = sum(end <= drawn for end in ends[1:])
+            left = trials - closed
+            assert 1 <= rows <= min(left * space, ends[closed] + left * limit - drawn)
+            drawn += count
 
     def test_block_size_is_part_of_the_stream_contract(self):
         # K_n = max(1, 2^16 // A^n)
