@@ -73,17 +73,17 @@ def fit_growth_model(
     Finite times of which one is zero or negative (``--no-timing`` zeroes
     them; the published matrix shows 0.000 s at prefix 1) have no growth
     factor: the model's ``time_growth_factor`` is None and nothing about
-    seconds is projected from it. The model, not this function, rejects
-    series of unequal length.
+    seconds is projected from it. Series the model rejects, unequal lengths
+    first, fail on its rule rather than on a growth factor's.
     """
-    attempts_factor = growth_factor(attempts_base)
-    untimed = all(map(math.isfinite, times_base)) and min(times_base, default=0.0) <= 0
-    return GrowthModel(
-        attempts_base=tuple(float(v) for v in attempts_base),
-        times_base=tuple(float(v) for v in times_base),
-        attempts_growth_factor=attempts_factor,
-        time_growth_factor=None if untimed else growth_factor(times_base),
-    )
+    attempts, times = (tuple(float(v) for v in base) for base in (attempts_base, times_base))
+    untimed = all(map(math.isfinite, times)) and min(times, default=0.0) <= 0
+    try:
+        factors = growth_factor(attempts), None if untimed else growth_factor(times)
+    except ValueError:
+        GrowthModel(attempts, times, 1.0, None)  # the model's rules come first
+        raise
+    return GrowthModel(attempts, times, *factors)
 
 
 def _extend(base: Sequence[float], factor: float, length: int) -> list[ScaledDecimal]:

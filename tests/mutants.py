@@ -2,8 +2,8 @@
 
 Each mutant names one file under ``src/``, an exact old text that must occur
 in it exactly once, the new text that replaces it, and why the mutant
-matters. The script copies ``src/``, ``tests/``, ``pyproject.toml`` and
-``README.md`` into a temporary directory, checks that the unmutated suite
+matters. The script copies ``src/``, ``tests/``, ``demos/``, ``pyproject.toml``
+and ``README.md`` into a temporary directory, checks that the unmutated suite
 passes there, and then, one mutant at a time, writes the mutated file, runs
 the tier-1 suite with ``-x`` and restores the file. A mutant under which the
 suite still passes has survived: its check, or its line, is one no test can
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pyproject.toml", "README.md")
+COPIED = ("src", "tests", "demos", "pyproject.toml", "README.md")
 BASELINE_TIMEOUT_S = 600
 
 
@@ -95,10 +95,13 @@ MUTANTS = (
     ),
     Mutant(
         "empty-times-min", "analysis.py",
-        "min(times_base, default=0.0)",
-        "min(times_base)",
+        "min(times, default=0.0)",
+        "min(times)",
         "an empty times series must reach GrowthModel's length check",
     ),
+    Mutant("growth-factor-before-lengths", "analysis.py",
+           "        GrowthModel(attempts, times, 1.0, None)  # the model's rules come first\n",
+           "", "unequal base lists must fail on their lengths, not on a one-value growth factor"),
     Mutant(
         "match-start-adjustment", "simulate.py",
         "        lo += 1\n",
@@ -140,6 +143,9 @@ MUTANTS = (
         "left * space,", "(left + 1) * space,",
         "a batch draws the open trials' mean need and no more",
     ),
+    Mutant("growth-model-float-bases", "analysis.py",
+           "(tuple(float(v) for v in base) for base in", "(tuple(base) for base in",
+           "a growth model holds float bases whatever the caller passes, as demo 02 prints"),
     Mutant(
         "growth-factor-mean", "analysis.py",
         "mean = sum(ratios) / len(ratios)",
@@ -194,6 +200,21 @@ MUTANTS = (
         "if timed:",
         "the published years describe the paper's seconds value only",
     ),
+    Mutant("typing-import", "model.py", "import string\n", "import string\nimport typing\n",
+           "no module under src/ imports typing, and report --use-paper-data loads none"),
+    Mutant("resources-import", "data/__init__.py", "import os\n",
+           "import importlib.resources\nimport os\n",
+           "the bundled data are plain files read with open(), not through importlib.resources"),
+    Mutant("numpy-without-trials", "cli.py", "from . import __version__, data\n",
+           "from . import __version__, data, simulate\n",
+           "only the commands that run trials load numpy"),
+    Mutant("seed-per-process", "simulate.py", "SeedSequence((seed, iteration, prefix_length))",
+           'SeedSequence((seed, iteration, prefix_length, __import__("os").getpid()))',
+           "--no-timing outputs are byte-identical across fresh processes"),
+    Mutant("projection-json-raw-unicode", "cli.py",
+           r'json.JSONEncoder(separators=(",\n    ", ": "))',
+           r'json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))',
+           "projection.json escapes a non-ASCII target as json.dumps does"),
     Mutant(
         "paper-data-no-timing", "cli.py",
         "        if args.no_timing:  # no seconds are projected from a zero time\n",
@@ -202,7 +223,10 @@ MUTANTS = (
     ),
 )
 
-EQUIVALENT = ()
+EQUIVALENT = (
+    Mutant("bundled-data-locale-encoding", "data/__init__.py", ', encoding="utf-8") as f:',
+           ") as f:", "the bundled files are ASCII: any locale's encoding, C's too, reads them"),
+)
 
 
 def check_anchors(mutants) -> list[str]:

@@ -3,7 +3,6 @@ import csv
 import decimal
 import io
 import json
-import os
 import re
 import shlex
 import string
@@ -14,9 +13,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import GOLDEN, ROOT, modules_loaded_after, process_env
 from monkeytyper import (
     Alphabet,
     ProjectionTable,
@@ -31,10 +31,8 @@ from monkeytyper.cli import main
 from monkeytyper.model import PROJECTION_CSV_HEADER
 from monkeytyper.simulate import ExperimentConfig, run_experiment
 
-GOLDEN = Path(__file__).parent / "golden"
-PUBLISHED_TRIALS = Path(__file__).parents[1] / "src/monkeytyper/data/published_trials.csv"
-README = Path(__file__).parents[1] / "README.md"
-SRC = Path(__file__).parents[1] / "src"
+PUBLISHED_TRIALS = ROOT / "src/monkeytyper/data/published_trials.csv"
+README = ROOT / "README.md"
 
 TABLE_ARGS = [
     "--attempts",
@@ -71,17 +69,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def process_env(**env):
-    """The environment plus ``env``, with this checkout's ``src`` first on the path."""
-    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-
-
-def run_process(argv, **env):
+def run_process(argv, timeout=60, **env):
     """``monkeytyper argv`` as a fresh process, with ``env`` added to the environment."""
     return subprocess.run(
         [sys.executable, "-m", "monkeytyper.cli", *map(str, argv)],
-        capture_output=True, text=True, env=process_env(**env), timeout=60,
+        capture_output=True, text=True, env=process_env(**env), timeout=timeout,
     )
 
 
@@ -469,12 +461,14 @@ class TestProject:
         assert not (tmp_path / "D").exists()
 
     def test_unequal_base_lengths_exit_2(self, tmp_path, capsys):
-        # GrowthModel alone checks the lengths
-        code = run(["project", "--attempts", "60,3101,159174", "--times", "0.1,0.2",
-                    "--out", tmp_path / "proj"])
-        assert code == 2
-        assert "equal length" in capsys.readouterr().err
-        assert not (tmp_path / "proj").exists()
+        # GrowthModel alone checks the lengths, before either growth factor:
+        # a one-value list once failed on "need at least 2 values"
+        for attempts, times in [("60,3101,159174", "0.1,0.2"), ("60,3101,159174", "0.1"),
+                                ("60", "0.1,0.2,0.3")]:
+            assert run(["project", "--attempts", attempts, "--times", times,
+                        "--out", tmp_path / "proj"]) == 2
+            assert capsys.readouterr().err == "error: base series must have equal length\n"
+            assert not (tmp_path / "proj").exists()
 
     def test_requires_two_base_points(self, tmp_path, capsys):
         code = run(["project", "--attempts", "60", "--times", "0.1", "--out", tmp_path])
@@ -525,12 +519,14 @@ class TestProject:
     @pytest.mark.parametrize("style", [[], ["--paper-style"]], ids=["plain", "paper-style"])
     @settings(max_examples=40, deadline=None)
     @given(target=HOSTILE_TARGETS)
+    @example(target='<quote " backslash \\ comma, brace }, { é>')
     def test_emitters_match_the_stdlib_reference(self, encoder, style, target):
         # projection.json is json.dumps(rows, indent=2), whichever JSON
         # encoder runs, and projection.csv is csv.DictWriter's rendering
         rows = build_projection_table(
             fit_growth_model(TABLE_ATTEMPTS, TABLE_TIMES), TargetText(target)
         ).to_json_rows(cli._paper_style if style else str)
+        assert [row["text_part"] for row in rows] == [target[:i + 1] for i in range(len(target))]
         reference_csv = io.StringIO()
         writer = csv.DictWriter(reference_csv, PROJECTION_CSV_HEADER, lineterminator="\n")
         writer.writeheader()
@@ -574,28 +570,32 @@ class TestProb:
         assert manifest["config"] == {"alphabet_size": 2, "length": 1}
         assert "5.000e-1" in read(tmp_path, "prob.txt")
 
-    def test_length_one_million_finishes(self):
-        # a fresh process, so the time counted includes import and start-up
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "monkeytyper.cli", "prob",
-             "--alphabet-size", "52", "--length", "1000000"],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+    @staticmethod
+    def odds_lines(length, timeout):
+        """prob's two lines at ``length`` over 52 symbols from a fresh process
+        (timed with its start-up), each checked against a 60-digit power."""
+        proc = run_process(["prob", "--alphabet-size", "52", "--length", length], timeout)
         assert proc.returncode == 0, proc.stderr
         wide = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
-        attempts = wide.power(decimal.Decimal(52), 10**6)
+        attempts = wide.power(decimal.Decimal(52), length)
         probability = wide.divide(1, attempts)
         four = decimal.Context(prec=4, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
         def sci(x):
             return format(four.plus(x), ".3e").replace("+", "")
 
-        lines = proc.stdout.splitlines()
-        assert f"success probability: {sci(probability)}" in lines
-        assert f"expected attempts: {sci(attempts)}" in lines
-        assert sci(probability) == "4.533e-1716004" and sci(attempts) == "2.206e1716003"
+        lines = [f"success probability: {sci(probability)}", f"expected attempts: {sci(attempts)}"]
+        assert set(lines) <= set(proc.stdout.splitlines())
+        return lines
+
+    def test_length_one_million_finishes(self):
+        assert self.odds_lines(10**6, timeout=30) == [
+            "success probability: 4.533e-1716004", "expected attempts: 2.206e1716003"]
+
+    @pytest.mark.slow
+    def test_length_ten_million_finishes(self):
+        assert self.odds_lines(10**7, timeout=120) == [
+            "success probability: 3.661e-17160034", "expected attempts: 2.731e17160033"]
 
 
 class TestCensus:
@@ -628,9 +628,7 @@ class TestCensus:
         path.write_text("To be \u00e9 \u2014 or not\n", encoding="utf-8")
         assert run(["census", "--file", path]) == 0
         in_process = capsys.readouterr().out
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        env = process_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
         env.pop("PYTHONIOENCODING", None)
         proc = subprocess.run(
             [sys.executable, "-m", "monkeytyper.cli", "census", "--file", str(path)],
@@ -961,34 +959,11 @@ class TestOutputs:
 class TestNumpyBoundary:
     """Only the trials draw random numbers, so only they load numpy."""
 
-    @staticmethod
-    def numpy_loaded_after(tmp_path, *commands) -> bool:
-        # a fresh process: this one loaded numpy with the trial tests
-        script = "\n".join([
-            "import sys",
-            "import monkeytyper, monkeytyper.cli",
-            "assert 'numpy' not in sys.modules, 'importing the package loads numpy'",
-            f"for argv in {[list(map(str, argv)) for argv in commands]!r}:",
-            "    assert monkeytyper.cli.main(argv) == 0, argv",
-            "print('numpy' in sys.modules)",
-        ])
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=process_env(), cwd=tmp_path, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
-
-    def test_commands_without_trials_leave_numpy_unloaded(self, tmp_path):
-        assert not self.numpy_loaded_after(
-            tmp_path,
-            ["prob", "--alphabet-size", "52", "--length", "41"],
-            ["census", "--bundled-hamlet"],
-            ["project", *TABLE_ARGS, "--out", tmp_path / "project"],
-            ["report", "--use-paper-data", "--out", tmp_path / "report"],
-        )
-
     def test_simulate_loads_numpy(self, tmp_path):
-        # the same probe sees numpy once a command runs trials
-        assert self.numpy_loaded_after(tmp_path, [*MANIFEST_PINS["simulate"], "--out", tmp_path])
+        # the probe that finds numpy absent after the trial-free commands
+        # (tests/test_processes.py) sees it once a command runs trials
+        simulate = [*MANIFEST_PINS["simulate"], "--out", "simulate"]
+        assert "numpy" in modules_loaded_after(tmp_path, [simulate])
 
 
 class TestParserReuse:
