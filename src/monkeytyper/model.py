@@ -88,8 +88,8 @@ DEFAULT_ATTEMPT_BUDGET = 10**10
 class TrialRecord:
     """One prefix-matching trial: attempts made and wall-clock time spent.
 
-    ``seed`` keys the stream of the trial's block (stream version 3: the
-    trials of one prefix length share a stream in blocks of consecutive
+    ``seed`` keys the stream of the trial's block (since stream version 3
+    the trials of one prefix length share a stream in blocks of consecutive
     iterations, see :mod:`monkeytyper.simulate`); with the trial's place in
     its block it reproduces the trial. ``completed`` is False when the trial
     hit its attempt budget before matching; ``attempts`` then holds the

@@ -4,33 +4,37 @@ A trial repeatedly generates fresh fixed-length candidate strings until one
 equals the target prefix (restart semantics: no characters are reused between
 candidates). Attempts are counted exactly, including the successful candidate.
 
-Determinism contract (stream version 3)
+Determinism contract (stream version 4)
 ---------------------------------------
 Each candidate of length ``n`` over an alphabet of size ``A`` is one uniform
-integer in ``[0, A^n)``, drawn as a bounded uint64 from a PCG64 stream keyed
-by its seed alone (entropy ``(seed, 0)``); the candidate string is that
-integer's ``n`` big-endian base-``A`` digits. It matches when the integer
-equals the prefix's key ``sum(code_i * A^(n-1-i))``. Bounds up to ``2^32``
-take numpy's buffered 32-bit path and larger ones its 64-bit path; on both,
-the drawn sequence does not depend on how draws are partitioned into
-batches, so no attempt count depends on the internal batch size. (Regression
-tests pin this partition invariance at a 32-bit and a 64-bit bound.) A key
-must fit in a uint64, so ``A^n`` may be at most ``2^64``; larger candidate
-spaces are rejected up front, since such a trial expects at least ``1.8e19``
-attempts and could never finish.
+integer in ``[0, A^n)``, drawn from a PCG64 stream keyed by its seed alone
+(entropy ``(seed, 0)``); the candidate string is that integer's ``n``
+big-endian base-``A`` digits. It matches when the integer equals the
+prefix's key ``sum(code_i * A^(n-1-i))``. A key must fit in a uint64, so
+``A^n`` may be at most ``2^64``; larger candidate spaces are rejected up
+front, since such a trial expects at least ``1.8e19`` attempts and could
+never finish.
 
-Matching. Up to ``2^32`` the kernel does not build the integers. numpy's
-32-bit path takes half-words ``w`` of the PCG64 stream, low half first, and
-maps each to ``(w * A^n) >> 32`` by Lemire's multiply-shift, drawing again
-when ``w * A^n mod 2^32`` falls below ``(2^32 - A^n) mod A^n``. So a
-candidate equals the key exactly when its accepted half-word lies in the
-key's interval ``[ceil(key * 2^32 / A^n), ceil((key + 1) * 2^32 / A^n))``,
-and the kernel tests raw words against that interval and counts the
-rejected ones, whole arrays at a time. The attempt counts are those of the
-draw; the tests compare the two on every boundary case.
+Lanes. Up to ``2^32`` a candidate is one lane of the stream's raw 64-bit
+words, ``W`` bits wide, low lane first: ``W`` is the width of
+``np.min_scalar_type(A^n - 1)``, 8, 16 or 32 bits, the narrowest dtype
+numpy's bounded draw of ``[0, A^n)`` uses. A lane ``w`` maps to
+``(w * A^n) >> W`` by Lemire's multiply-shift, and is rejected, drawing the
+next lane, when ``w * A^n mod 2^W`` falls below ``(2^W - A^n) mod A^n``.
+The candidates are those of one ``Generator.integers(0, A^n, dtype=...)``
+call at that dtype; the tests compare the two at every width and on every
+boundary case. Spaces above ``2^32`` draw whole words, as numpy's 64-bit
+bounded draw does. On both paths the kernel reads whole words only, so no
+attempt count depends on how the draws are cut into batches.
+
+Matching. Up to ``2^32`` the kernel does not build the integers. A
+candidate equals the key exactly when its accepted lane lies in the key's
+interval ``[ceil(key * 2^W / A^n), ceil((key + 1) * 2^W / A^n))``, so the
+kernel tests raw lanes against that interval and counts the rejected ones,
+whole arrays at a time.
 
 Blocks. The trials of prefix length ``n`` form blocks of
-``K_n = max(1, 2^16 // A^n)`` consecutive iterations: ``1..K_n``,
+``K_n = max(1, 2^20 // A^n)`` consecutive iterations: ``1..K_n``,
 ``K_n+1..2*K_n`` and so on, the last block cut at the iteration count.
 ``K_n`` is part of the contract, not a setting.
 
@@ -44,8 +48,9 @@ Blocks. The trials of prefix length ``n`` form blocks of
 * Budget carry-over: a trial with a budget ends, incomplete, after
   ``budget`` candidates without a match, and the next trial starts right
   after them.
-* Where ``K_n = 1`` (``A^n > 2^15``) a block is one trial on its own
-  stream, exactly as in stream version 2.
+* Where ``K_n = 1`` (``A^n > 2^19``) a block is one trial on its own
+  stream. Its lanes are 32 or 64 bits wide there, so those cells draw
+  exactly as in stream versions 2 and 3.
 
 Trial ``j`` (0-based) of a block is therefore the ``j + 1``-th gap of
 ``RngStream(record.seed)``, and the first trials of a block do not depend
@@ -55,11 +60,13 @@ many blocks run at once: the matrix is the same for any worker count and
 any scheduling. A trial's elapsed time is its share of its block's wall
 time, in proportion to its attempts.
 
-Stream version 2 gave every trial its own stream; version 1 drew ``n``
-symbols per candidate. Manifests written under an earlier version reproduce
-only under it. ``STREAM_VERSION`` names the current stream; every manifest
-of a command that simulates records it. Wall-clock times are measured with a
-monotonic clock and are explicitly outside the determinism guarantee.
+Stream version 3 had blocks of ``max(1, 2^16 // A^n)`` iterations and
+32-bit lanes at every space up to ``2^32``; version 2 gave every trial its
+own stream; version 1 drew ``n`` symbols per candidate. Manifests written
+under an earlier version reproduce only under it. ``STREAM_VERSION`` names
+the current stream; every manifest of a command that simulates records it.
+Wall-clock times are measured with a monotonic clock and are explicitly
+outside the determinism guarantee.
 
 Results are columns. A block comes back as plain lists, its trials'
 attempts and completed flags, plus its wall time; ``run_experiment``
@@ -83,17 +90,18 @@ from .model import (
     DEFAULT_ATTEMPT_BUDGET, Alphabet, MeasurementTable, TargetText, TrialRecord
 )
 
-# Candidates per batch at most; below it a batch draws its open trials' mean
-# need, A^n each. Its 128 KiB of words keep malloc on the same heap pages; at
-# twice the size they were faulted in afresh per batch, at half the speed.
-_MAX_BATCH = 1 << 15
+# Raw 64-bit words per batch at most, as many candidates as they hold lanes;
+# below it a batch draws its open trials' mean need, A^n each. Its 128 KiB
+# keep malloc on the same heap pages; at twice the size they were faulted in
+# afresh per batch, at half the speed.
+_MAX_WORDS = 1 << 14
 
-#: Candidates a block spans at most, ``K_n * A^n <= 2^16`` (see the module
+#: Candidates a block spans at most, ``K_n * A^n <= 2^20`` (see the module
 #: docstring); a part of the stream contract.
-_BLOCK_CANDIDATES = 1 << 16
+_BLOCK_CANDIDATES = 1 << 20
 
 #: Version of the candidate stream described in the module docstring.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 
 @dataclass
@@ -135,6 +143,11 @@ def _block_size(alphabet_size: int, prefix_length: int) -> int:
     return max(1, _BLOCK_CANDIDATES // alphabet_size**prefix_length)
 
 
+def _lane_bits(space: int) -> int:
+    """``W``, the bits of one candidate: numpy's narrowest bounded draw of ``[0, space)``."""
+    return 8 * np.min_scalar_type(space - 1).itemsize
+
+
 def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> tuple[int, int]:
     """Validate a prefix of ``target``; return its key and its candidate space.
 
@@ -158,39 +171,43 @@ def _prefix_key(target: TargetText, prefix_length: int, alphabet: Alphabet) -> t
     return key, space
 
 
-def _matches(rng: RngStream, key: int, space: int, rows: int) -> tuple[np.ndarray, int]:
-    """Draw about ``rows`` candidates from ``[0, space)``; return the indices
-    of those equal to ``key`` and the number of candidates drawn.
+def _matches(
+    rng: RngStream, key: int, space: int, bits: int, rows: int
+) -> tuple[np.ndarray, int]:
+    """Draw about ``rows`` candidates from ``[0, space)`` as ``bits``-wide
+    lanes; return the indices of those equal to ``key`` and the number of
+    candidates drawn.
 
-    Up to ``2^32`` this matches ``ceil(rows / 2)`` raw 64-bit words against
-    the key's interval (see the module docstring). Only the interval's first
-    word can be rejected, so the start moves up by one when it is; a hit's
-    position drops by the rejected half-words before it. Space 1 reads no
-    word (every candidate is 0); larger spaces draw through
+    Up to ``2^32`` this matches the lanes of ``ceil(rows * bits / 64)`` raw
+    64-bit words against the key's interval (see the module docstring).
+    Only the interval's first lane can be rejected, so the start moves up by
+    one when it is; a hit's position drops by the rejected lanes before it.
+    Space 1 reads no word (every candidate is 0); 64-bit lanes draw through
     :meth:`RngStream.draw_codes`.
     """
-    if space > 2**32:
+    if bits == 64:
         return (rng.draw_codes(rows, space) == np.uint64(key)).nonzero()[0], rows
     if space == 1:
         return np.arange(rows), rows
-    raw = rng._generator.bit_generator.random_raw((rows + 1) // 2)
-    words = raw.astype("<u8", copy=False).view("<u4")  # low half first on any host
-    lo, hi = (-(-(k << 32) // space) for k in (key, key + 1))
-    threshold = (2**32 - space) % space
-    if lo * space - (key << 32) < threshold:
+    raw = rng._generator.bit_generator.random_raw(-(-rows * bits // 64))
+    dtype = np.dtype(f"<u{bits // 8}")
+    lanes = raw.astype("<u8", copy=False).view(dtype)  # low lane first on any host
+    lo, hi = (-(-(k << bits) // space) for k in (key, key + 1))
+    threshold = ((1 << bits) - space) % space
+    if lo * space - (key << bits) < threshold:
         lo += 1
     # One scratch array and one mask, reused by the rejection test.
-    scratch = np.subtract(words, np.uint32(lo))
-    mask = np.less(scratch, np.uint32(hi - lo))
+    scratch = np.subtract(lanes, dtype.type(lo))
+    mask = np.less(scratch, dtype.type(hi - lo))
     hits = np.flatnonzero(mask)
-    if not threshold:  # a power of two: no word is rejected
-        return hits, words.size
-    np.multiply(words, np.uint32(space), out=scratch)
-    np.less(scratch, np.uint32(threshold), out=mask)
+    if not threshold:  # a power of two: no lane is rejected
+        return hits, lanes.size
+    np.multiply(lanes, dtype.type(space), out=scratch)
+    np.less(scratch, dtype.type(threshold), out=mask)
     if not hits.size:
-        return hits, words.size - np.count_nonzero(mask)
+        return hits, lanes.size - np.count_nonzero(mask)
     rejected = np.flatnonzero(mask)
-    return hits - rejected.searchsorted(hits), words.size - rejected.size
+    return hits - rejected.searchsorted(hits), lanes.size - rejected.size
 
 
 def _run_block(
@@ -209,14 +226,15 @@ def _run_block(
     from them.
     """
     limit = math.inf if budget is None else budget
+    bits = _lane_bits(space)
     attempts: list[int] = []
     completed: list[bool] = []
     start = drawn = 0  # stream positions: the open trial's first candidate, the next draw
     clock = time.perf_counter()
     while len(attempts) < trials:
         left = trials - len(attempts)
-        rows = min(_MAX_BATCH, left * space, start + left * limit - drawn)
-        hits, count = _matches(rng, key, space, rows)
+        rows = min(_MAX_WORDS * 64 // bits, left * space, start + left * limit - drawn)
+        hits, count = _matches(rng, key, space, bits, rows)
         hits += drawn
         drawn += count
         # The batch end closes, incomplete, every trial whose budget it passed.

@@ -106,31 +106,42 @@ MUTANTS = (
         "match-start-adjustment", "simulate.py",
         "        lo += 1\n",
         "        pass\n",
-        "a rejected first word of the key's interval would count as a hit",
+        "a rejected first lane of the key's interval would count as a hit",
     ),
     Mutant(
         "match-rejection-count", "simulate.py",
-        "    if not threshold:  # a power of two: no word is rejected",
-        "    if True:  # a power of two: no word is rejected",
-        "rejected words would count as candidates, off numpy's bounded draw",
+        "    if not threshold:  # a power of two: no lane is rejected",
+        "    if True:  # a power of two: no lane is rejected",
+        "rejected lanes would count as candidates, off numpy's bounded draw",
     ),
     Mutant(
         "match-rejection-count-without-hits", "simulate.py",
-        "return hits, words.size - np.count_nonzero(mask)",
-        "return hits, words.size",
-        "a batch without a hit would count its rejected words as candidates",
+        "return hits, lanes.size - np.count_nonzero(mask)",
+        "return hits, lanes.size",
+        "a batch without a hit would count its rejected lanes as candidates",
     ),
     Mutant(
         "match-high-half-first", "simulate.py",
-        'raw.astype("<u8", copy=False).view("<u4")',
-        'raw.astype(">u8", copy=False).view(">u4")',
-        "numpy's 32-bit draw takes the low half of each word first",
+        'raw.astype("<u8", copy=False).view(dtype)',
+        'raw.astype(">u8", copy=False).view(dtype.newbyteorder(">"))',
+        "numpy's bounded draw takes the low lane of each word first",
     ),
     Mutant(
         "match-without-searchsorted", "simulate.py",
-        "return hits - rejected.searchsorted(hits), words.size - rejected.size",
-        "return hits, words.size - rejected.size",
-        "a hit's position must drop by the rejected words before it",
+        "return hits - rejected.searchsorted(hits), lanes.size - rejected.size",
+        "return hits, lanes.size - rejected.size",
+        "a hit's position must drop by the rejected lanes before it",
+    ),
+    Mutant(
+        "lane-always-32", "simulate.py",
+        "return 8 * np.min_scalar_type(space - 1).itemsize",
+        "return 32 if space <= 2**32 else 64",
+        "a candidate is a lane as narrow as numpy's narrowest bounded draw of its space",
+    ),
+    Mutant(
+        "block-candidates-2^16", "simulate.py",
+        "_BLOCK_CANDIDATES = 1 << 20", "_BLOCK_CANDIDATES = 1 << 16",
+        "K_n = max(1, 2^20 // A^n) is part of stream version 4",
     ),
     Mutant(
         "block-gap-off-by-one", "simulate.py",

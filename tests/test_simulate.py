@@ -17,6 +17,7 @@ from monkeytyper.simulate import (
     ExperimentConfig,
     RngStream,
     _block_size,
+    _lane_bits,
     _prefix_key,
     _run_block,
     derive_trial_seed,
@@ -25,6 +26,14 @@ from monkeytyper.simulate import (
 )
 
 AB = Alphabet("ab")
+
+
+def bounded_draw(seed, count, space):
+    """The candidate stream of ``RngStream(seed)``: one numpy bounded draw
+    of ``count`` integers in ``[0, space)`` at the narrowest dtype that
+    holds them (stream version 4)."""
+    generator = RngStream(seed)._generator
+    return generator.integers(0, space, size=count, dtype=np.min_scalar_type(space - 1))
 
 
 class TestRngStream:
@@ -107,8 +116,8 @@ class TestRunPrefixTrial:
         assert rec.completed and rec.elapsed_seconds >= 0
 
     def test_deterministic_given_stream_key(self):
-        first = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=None)
-        again = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=None)
+        first = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(1), budget=None)
+        again = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(1), budget=None)
         assert first.attempts == again.attempts == 4
 
     def test_out_of_alphabet_prefix_rejected_before_generation(self):
@@ -138,8 +147,8 @@ class TestRunPrefixTrial:
             run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=0)
 
     def test_budget_exhaustion_is_reported_not_raised(self):
-        # seed 0 needs 4 attempts unconstrained, so a budget of 2 must stop it
-        rec = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(0), budget=2)
+        # seed 1 needs 4 attempts unconstrained, so a budget of 2 must stop it
+        rec = run_prefix_trial(TargetText("ab"), 2, AB, RngStream(1), budget=2)
         assert rec.completed is False
         assert rec.attempts == 2
 
@@ -180,28 +189,28 @@ class TestRunPrefixTrial:
         assert abs(mean - expectation) <= 3 * expectation / trials**0.5
 
 
-def decode_then_compare_trial(target, n, alphabet, rng, budget):
-    """Reference trial: decode every drawn integer into its n big-endian
-    base-A digits in plain Python and compare the string with the prefix.
-    The kernel must agree with it draw for draw. It draws in batches of its
-    own size: the drawn sequence does not depend on the partition."""
+def decode_then_compare_trial(target, n, alphabet, seed, budget):
+    """Reference trial: decode every candidate of one ``bounded_draw`` of
+    ``seed`` into its n big-endian base-A digits in plain Python and compare
+    the string with the prefix. The kernel must agree with it draw for draw.
+    A draw too short to end the trial is made again from the stream's
+    start, four times as long."""
     prefix = target.text[:n]
     size = alphabet.size
-    batch = 4096
-    attempts = 0
+    length = 4 * size**n + 64
     while True:
-        rows = batch if budget is None else min(batch, budget - attempts)
-        for row, value in enumerate(rng.draw_codes(rows, size**n)):
-            value = int(value)
+        if budget is not None:
+            length = min(length, budget)
+        for row, value in enumerate(bounded_draw(seed, length, size**n).tolist()):
             digits = []
             for _ in range(n):
                 value, digit = divmod(value, size)
                 digits.append(digit)
             if decode(alphabet, reversed(digits)) == prefix:
-                return attempts + row + 1, True, rng.seed
-        attempts += rows
-        if budget is not None and attempts >= budget:
-            return attempts, False, rng.seed
+                return row + 1, True, seed
+        if length == budget:
+            return budget, False, seed
+        length *= 4
 
 
 class TestIntegerCandidateMatch:
@@ -220,7 +229,7 @@ class TestIntegerCandidateMatch:
         text = data.draw(st.text(alphabet=alphabet.symbols, min_size=n, max_size=n))
         target = TargetText(text)
         rec = run_prefix_trial(target, n, alphabet, RngStream(seed), budget)
-        expected = decode_then_compare_trial(target, n, alphabet, RngStream(seed), budget)
+        expected = decode_then_compare_trial(target, n, alphabet, seed, budget)
         assert (rec.attempts, rec.completed, rec.seed) == expected
 
     def test_first_draw_off_in_the_last_digit_is_rejected(self):
@@ -229,22 +238,40 @@ class TestIntegerCandidateMatch:
         # accepts it, and one that reverses the digit order disagrees with
         # the reference on the attempt count
         alphabet = Alphabet("abc")
-        first = int(RngStream(3).draw_codes(1, 3**4)[0])
+        first = int(bounded_draw(3, 1, 3**4)[0])
         digits = [first // 3**k % 3 for k in (3, 2, 1, 0)]
         digits[3] = (digits[3] + 1) % 3
         target = TargetText(decode(alphabet, digits))
         rec = run_prefix_trial(target, 4, alphabet, RngStream(3), budget=None)
-        expected = decode_then_compare_trial(target, 4, alphabet, RngStream(3), None)
+        expected = decode_then_compare_trial(target, 4, alphabet, 3, None)
         assert rec.attempts > 1
         assert (rec.attempts, rec.completed, rec.seed) == expected
 
 
+def cut_into_trials(codes, matching, trials, budget):
+    """Cut a candidate sequence into trials, one candidate at a time: a
+    trial ends at a candidate in ``matching``, or incomplete after
+    ``budget`` candidates, and the next trial starts at the following
+    candidate. Returns the (attempts, completed) pairs of the trials that
+    end within ``codes``, at most ``trials`` of them."""
+    found, attempts = [], 0
+    for value in codes:
+        attempts += 1
+        if value in matching:
+            found.append((attempts, True))
+            attempts = 0
+        elif attempts == budget:
+            found.append((attempts, False))
+            attempts = 0
+        if len(found) == trials:
+            break
+    return found
+
+
 def reference_block(prefix, alphabet, seed, trials, budget):
-    """Reference block: cut one long draw_codes array of RngStream(seed)
-    into trials, taking one candidate at a time. A candidate matches when
-    its n big-endian base-A digits, decoded in plain Python, spell the
-    prefix; a trial ends at a match, or incomplete after ``budget``
-    candidates, and the next trial starts at the following candidate."""
+    """Reference block: cut one long ``bounded_draw`` of ``seed`` into
+    trials. A candidate matches when its n big-endian base-A digits,
+    decoded in plain Python, spell the prefix."""
     n, size = len(prefix), alphabet.size
 
     def spelled(value):
@@ -260,35 +287,26 @@ def reference_block(prefix, alphabet, seed, trials, budget):
     length = 40 * trials * size**n + 1000
     if budget is not None:
         length = min(length, trials * budget)
-    found, attempts = [], 0
-    for value in RngStream(seed).draw_codes(length, size**n):
-        attempts += 1
-        if int(value) in matching:
-            found.append((attempts, True))
-            attempts = 0
-        elif attempts == budget:
-            found.append((attempts, False))
-            attempts = 0
-        if len(found) == trials:
-            return found
-    raise AssertionError("reference stream too short")
+    found = cut_into_trials(bounded_draw(seed, length, size**n).tolist(), matching, trials, budget)
+    assert len(found) == trials, "reference stream too short"
+    return found
 
 
 # Spaces the word kernel covers, from one symbol to the 2^32 bound numpy
-# still draws from half-words; 2^31 + 11 rejects nearly half of all words.
+# still draws from 32-bit lanes; 2^31 + 11 rejects nearly half of all lanes.
 WORD_SPACES = [1, 2, 3, 53, 2809, 53**4, 2**31 + 11, 2**32 - 1, 2**32]
-# Batch sizes in candidates: odd ones split a raw 64-bit word.
+# Batch sizes in candidates: odd ones end inside a raw 64-bit word.
 WORD_BATCHES = (1, 7, 1000, 4096, 333)
 
 
 def word_kernel_hits(seed, key, space, batches=WORD_BATCHES):
     """The hit positions and the candidate count of ``_matches`` over
     several batches of ``RngStream(seed)``."""
-    stream = RngStream(seed)
+    stream, bits = RngStream(seed), _lane_bits(space)
     found, drawn = [], 0
     for rows in batches:
-        hits, count = simulate._matches(stream, key, space, rows)
-        assert 0 <= count <= rows + 1
+        hits, count = simulate._matches(stream, key, space, bits, rows)
+        assert 0 <= count < rows + 64 // bits  # the lanes of whole words
         assert all(0 <= h < count for h in hits.tolist())
         found += (hits + drawn).tolist()
         drawn += count
@@ -297,12 +315,13 @@ def word_kernel_hits(seed, key, space, batches=WORD_BATCHES):
 
 def bounded_draw_hits(seed, key, space, count):
     """The oracle: positions where numpy's bounded draw gives ``key``."""
-    return np.flatnonzero(RngStream(seed).draw_codes(count, space) == np.uint64(key)).tolist()
+    return np.flatnonzero(bounded_draw(seed, count, space) == key).tolist()
 
 
 class TestWordKernel:
     """``_matches`` reads raw PCG64 words against the key's Lemire interval;
-    it must find exactly the candidates ``draw_codes`` makes equal to the key."""
+    it must find exactly the candidates one narrowest-dtype numpy draw makes
+    equal to the key."""
 
     @pytest.mark.parametrize("seed", [42, 2**64 - 5])
     @pytest.mark.parametrize("space", WORD_SPACES)
@@ -317,11 +336,11 @@ class TestWordKernel:
         # only if every batch counted its candidates exactly; rare-hit
         # spaces would hide an off-by-one from the other keys
         _, drawn = word_kernel_hits(7, 0, space)
-        codes = RngStream(7).draw_codes(drawn, space)
+        codes = bounded_draw(7, drawn, space)
         stream, position = RngStream(7), 0
         for rows in WORD_BATCHES:
-            position += simulate._matches(stream, 0, space, rows)[1]
-            if not position:  # every word so far rejected
+            position += simulate._matches(stream, 0, space, _lane_bits(space), rows)[1]
+            if not position:  # every lane so far rejected
                 continue
             key = int(codes[position - 1])
             found, _ = word_kernel_hits(7, key, space)
@@ -329,38 +348,45 @@ class TestWordKernel:
             assert found == bounded_draw_hits(7, key, space, drawn)
 
     def test_rejected_interval_start_is_not_a_hit(self):
-        # at 2^31 + 11 nearly half of all words are rejected; the stream's
-        # first rejected word w is the interval start of key (w * space) >> 32,
-        # which a kernel that did not move the start up would count as a hit
-        space, seed = 2**31 + 11, 42
-        threshold = (2**32 - space) % space
-        # the first 16 half-words, all inside the first batches read
-        words = RngStream(seed)._generator.bit_generator.random_raw(8).view(np.uint32)
-        word = next(int(w) for w in words if int(w) * space % 2**32 < threshold)
-        key = word * space >> 32
-        assert -(-(key << 32) // space) == word  # the case occurs: the start is rejected
-        found, drawn = word_kernel_hits(seed, key, space)
-        assert found == bounded_draw_hits(seed, key, space, drawn)
+        # at each lane width W nearly half of all lanes are rejected at these
+        # spaces; the stream's first rejected lane w is the interval start
+        # of key (w * space) >> W, which a kernel that did not move the
+        # start up would count as a hit
+        seed = 42
+        for space in (129, 2**15 + 11, 2**31 + 11):  # 8, 16 and 32 bits
+            bits = _lane_bits(space)
+            threshold = ((1 << bits) - space) % space
+            # the lanes of the first 8 raw words, all inside the first batches read
+            raw = RngStream(seed)._generator.bit_generator.random_raw(8)
+            lanes = raw.astype("<u8").view(f"<u{bits // 8}").tolist()
+            word = next(w for w in lanes if w * space % 2**bits < threshold)
+            key = word * space >> bits
+            assert -(-(key << bits) // space) == word  # the case occurs: the start is rejected
+            found, drawn = word_kernel_hits(seed, key, space)
+            assert found == bounded_draw_hits(seed, key, space, drawn), space
 
-    @pytest.mark.parametrize("length", [1, 3, 5])
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
     def test_draws_one_integer_per_candidate(self, length):
-        # a candidate of any length is one 32-bit half-word of the stream
-        # (a rare rejected one aside), so the cost per candidate does not
-        # grow with its length: a batch of ``rows`` candidates reads
-        # ``rows / 2`` raw 64-bit words and yields nearly ``rows`` candidates
+        # a candidate of any length is one W-bit lane of the stream, so the
+        # cost per candidate does not grow with its length: a batch of
+        # ``rows`` candidates reads ``rows * W / 64`` raw 64-bit words and
+        # yields all but its rejected lanes, a share
+        # ((2^W - A^n) mod A^n) / 2^W of them (17% at 53 symbols in 8 bits)
         space = LETTERS_AND_SPACE.size**length
+        bits = _lane_bits(space)
+        kept = 1 - ((1 << bits) - space) % space / 2**bits
         stream, shadow = RngStream(length), np.random.PCG64()
         for rows in (2**14, 2**15, 2**15):
             shadow.state = stream._generator.bit_generator.state
-            _, count = simulate._matches(stream, 0, space, rows)
-            shadow.random_raw(rows // 2)
+            _, count = simulate._matches(stream, 0, space, bits, rows)
+            shadow.random_raw(rows * bits // 64)
             assert shadow.state == stream._generator.bit_generator.state
-            assert 0.95 * rows < count <= rows
+            assert abs(count / rows - kept) < 0.02
 
     def test_space_one_consumes_no_word(self):
         # numpy's bounded draw of [0, 1) reads nothing from the stream
         stream = RngStream(3)
-        hits, count = simulate._matches(stream, 0, 1, 100)
+        hits, count = simulate._matches(stream, 0, 1, 8, 100)
         assert count == 100 and hits.tolist() == list(range(100))
         untouched = RngStream(3)._generator.bit_generator.state
         assert stream._generator.bit_generator.state == untouched
@@ -374,9 +400,9 @@ class TestWordKernel:
             return draw_codes(rng, count, bound)
 
         monkeypatch.setattr(RngStream, "draw_codes", recorded)
-        simulate._matches(RngStream(1), 0, 2**32, 100)
+        simulate._matches(RngStream(1), 0, 2**32, 32, 100)
         assert draws == []
-        _, count = simulate._matches(RngStream(1), 5, 2**32 + 1, 100)
+        _, count = simulate._matches(RngStream(1), 5, 2**32 + 1, 64, 100)
         assert draws == [(100, 2**32 + 1)] and count == 100
 
 
@@ -406,7 +432,7 @@ class TestBlockKernel:
             target=TargetText("ab"), alphabet=AB, max_prefix_length=2, iterations=40, seed=4
         )
         table = run_experiment(config)
-        # K_n >= 2^14 over two symbols: each column is one block
+        # K_n >= 2^18 over two symbols: each column is one block
         for attempts, elapsed, seeds in zip(table.attempts, table.elapsed_seconds, table.seeds):
             assert len(set(seeds)) == 1
             rates = [e / a for a, e in zip(attempts, elapsed)]
@@ -418,7 +444,7 @@ class TestBlockKernel:
             ("ab", "a", 1, None),  # one trial over two symbols: 2 candidates
             ("ab", "aba", 7, None),
             ("ab", "abb", 9, 3),  # the budget room binds
-            (LETTERS_AND_SPACE.symbols, "To", 23, None),  # the 2^15 cap binds
+            (LETTERS_AND_SPACE.symbols, "To", 30, None),  # the 2^16-lane cap binds
             (LETTERS_AND_SPACE.symbols, "To be ", 2, 1000),  # 53^6 > 2^32: the bounded draw
         ],
         ids=["one-trial", "seven-trials", "budget-room", "cap", "64-bit"],
@@ -426,15 +452,16 @@ class TestBlockKernel:
     def test_batch_is_the_open_trials_expected_need(
         self, monkeypatch, symbols, text, trials, budget
     ):
-        # every batch asks for min(2^15, left * A^n, budget room): the open
-        # trials' mean need, so a block over-draws little at any size
+        # every batch asks for min(the lanes of 2^14 words, left * A^n,
+        # budget room): the open trials' mean need, so a block over-draws
+        # little at any size
         alphabet = Alphabet(symbols)
         key, space = _prefix_key(TargetText(text), len(text), alphabet)
         batches = []  # (candidates asked, candidates drawn)
         matches = simulate._matches
 
-        def spy(rng, key, space, rows):
-            hits, count = matches(rng, key, space, rows)
+        def spy(rng, key, space, bits, rows):
+            hits, count = matches(rng, key, space, bits, rows)
             batches.append((rows, count))
             return hits, count
 
@@ -442,7 +469,8 @@ class TestBlockKernel:
         attempts, _, _ = _run_block(key, space, RngStream(11), trials, budget)
         ends = [0, *itertools.accumulate(attempts)]  # trial j spans ends[j]..ends[j+1]-1
         limit = math.inf if budget is None else budget
-        assert batches[0][0] == min(2**15, trials * space, trials * limit)
+        cap = 2**14 * 64 // _lane_bits(space)
+        assert batches[0][0] == min(cap, trials * space, trials * limit)
         drawn = 0
         for rows, count in batches:
             closed = sum(end <= drawn for end in ends[1:])
@@ -451,12 +479,56 @@ class TestBlockKernel:
             drawn += count
 
     def test_block_size_is_part_of_the_stream_contract(self):
-        # K_n = max(1, 2^16 // A^n)
-        assert _block_size(53, 1) == 1236
-        assert _block_size(53, 2) == 23
-        assert _block_size(53, 3) == 1
-        assert (_block_size(2, 15), _block_size(2, 16)) == (2, 1)
-        assert _block_size(1, 4) == 2**16
+        # K_n = max(1, 2^20 // A^n)
+        assert _block_size(53, 1) == 19784
+        assert _block_size(53, 2) == 373
+        assert _block_size(53, 3) == 7
+        assert _block_size(53, 4) == 1
+        assert (_block_size(2, 19), _block_size(2, 20)) == (2, 1)
+        assert _block_size(1, 4) == 2**20
+
+
+# The edges of every lane width numpy's bounded draw picks: 8 bits up to 256,
+# 16 up to 2^16, 32 up to 2^32.
+LANE_SPACES = [2, 53, 255, 256, 257, 2809, 65535, 65536, 65537, 148877, 2**32 - 5, 2**32]
+LANE_BITS = [8, 8, 8, 8, 16, 16, 16, 16, 32, 32, 32, 32]
+
+
+class TestLaneWidths:
+    """Each candidate is one lane as wide as numpy's narrowest bounded draw
+    of its space; ``_matches`` and ``_run_block`` must agree with one
+    ``Generator.integers`` call at that dtype at every width's edges."""
+
+    def test_lane_width_is_part_of_the_stream_contract(self):
+        assert [_lane_bits(space) for space in LANE_SPACES] == LANE_BITS
+        assert (_lane_bits(1), _lane_bits(2**32 + 1), _lane_bits(2**64)) == (8, 64, 64)
+
+    @pytest.mark.parametrize("space", LANE_SPACES)
+    def test_match_counts_agree_with_one_narrow_draw(self, space):
+        # keys at both ends and in the middle, and one planted at a known
+        # candidate so that even 2^32 spaces have a hit to place
+        planted = int(bounded_draw(3, 3000, space)[2999])
+        for key in sorted({0, space // 2, space - 1, planted}):
+            found, drawn = word_kernel_hits(3, key, space)
+            assert drawn >= 3000
+            assert found == bounded_draw_hits(3, key, space, drawn), key
+
+    @pytest.mark.parametrize("budget", [None, 1, 5, 700])
+    @pytest.mark.parametrize("space", LANE_SPACES)
+    def test_block_gaps_agree_with_one_narrow_draw(self, monkeypatch, space, budget):
+        # the key is the value of candidate 1500, so every width ends a
+        # trial within the draw; with a budget, trials also end cut short
+        # and carry over. Batches of 1 and 3 raw words cut the stream at
+        # other places than the default cap and must not move a gap.
+        codes = bounded_draw(5, 6000, space).tolist()
+        key = codes[1500]
+        expected = cut_into_trials(codes, {key}, 40, budget)
+        gaps = []
+        for words in (simulate._MAX_WORDS, 1, 3):
+            monkeypatch.setattr(simulate, "_MAX_WORDS", words)
+            attempts, completed, _ = _run_block(key, space, RngStream(5), len(expected), budget)
+            gaps.append(list(zip(attempts, completed)))
+        assert gaps == [expected] * 3
 
 
 class TestRunExperiment:
@@ -500,37 +572,39 @@ class TestRunExperiment:
         ] == [[(rec.attempts, rec.seed) for rec in row] for row in threaded.trials]
 
     def test_blocks_are_independent_of_workers_and_of_the_iteration_count(self):
-        # K_2 = 23 over 53 symbols: 60 iterations make blocks at 1, 24, 47
+        # K_2 = 373 over 53 symbols: 800 iterations make blocks at 1, 374, 747
         config = ExperimentConfig(
             target=TargetText("To"), alphabet=LETTERS_AND_SPACE,
-            max_prefix_length=2, iterations=60, seed=8,
+            max_prefix_length=2, iterations=800, seed=8,
         )
         cells = lambda table: [  # noqa: E731
             [(rec.attempts, rec.seed, rec.completed) for rec in row] for row in table.trials
         ]
         serial = cells(run_experiment(config))
         assert serial == cells(run_experiment(dataclasses.replace(config, worker_count=3)))
-        assert serial[:30] == cells(run_experiment(dataclasses.replace(config, iterations=30)))
-        firsts = [1] * 23 + [24] * 23 + [47] * 14
+        assert serial[:400] == cells(run_experiment(dataclasses.replace(config, iterations=400)))
+        firsts = [1] * 373 + [374] * 373 + [747] * 54
         assert [row[1][1] for row in serial] == [
             derive_trial_seed(8, first, 2) for first in firsts
         ]
         assert {row[0][1] for row in serial} == {derive_trial_seed(8, 1, 1)}
 
     def test_single_trial_blocks_keep_stream_version_2(self):
-        # K_3 = 1 over 53 symbols: every prefix-3 cell is the version-2 trial
-        # of its own derived seed, with the attempts the version-2 code gave
+        # K_4 = 1 over 53 symbols: every prefix-4 cell is the version-2 trial
+        # of its own derived seed, with the attempts the version-2 and
+        # version-3 code gave
         config = ExperimentConfig(
             target=TargetText("To be"), alphabet=LETTERS_AND_SPACE,
-            max_prefix_length=3, iterations=10, seed=42,
+            max_prefix_length=4, iterations=10, seed=42,
         )
-        column = [row[2] for row in run_experiment(config).trials]
+        column = [row[3] for row in run_experiment(config).trials]
         assert [rec.attempts for rec in column] == [
-            251360, 296949, 18075, 301164, 34185, 80185, 161458, 19804, 364546, 298909
+            1265735, 8125274, 4192802, 2579951, 1581556,
+            1731512, 5094136, 17203872, 4420557, 1810487,
         ]
         for i, rec in enumerate(column, start=1):
-            stream = RngStream(derive_trial_seed(42, i, 3))
-            alone = run_prefix_trial(config.target, 3, LETTERS_AND_SPACE, stream)
+            stream = RngStream(derive_trial_seed(42, i, 4))
+            alone = run_prefix_trial(config.target, 4, LETTERS_AND_SPACE, stream)
             assert (rec.attempts, rec.seed) == (alone.attempts, stream.seed)
 
     def test_out_of_alphabet_target_is_an_error_by_default(self):
@@ -540,7 +614,7 @@ class TestRunExperiment:
 
     def test_budget_exhaustion_flags_cells_and_keeps_partials(self):
         # one candidate per trial: the prefix-2 block draws 2, 1, 2 (key 1)
-        table = run_experiment(self.config(attempt_budget=1))
+        table = run_experiment(self.config(attempt_budget=1, seed=96))
         assert table.incomplete_cells() == [(1, 2), (3, 2)]
         for iteration, n in table.incomplete_cells():
             assert table.trials[iteration - 1][n - 1].attempts == 1
