@@ -77,12 +77,9 @@ def fit_growth_model(
     first, fail on its rule rather than on a growth factor's.
     """
     attempts, times = (tuple(float(v) for v in base) for base in (attempts_base, times_base))
-    untimed = all(map(math.isfinite, times)) and min(times, default=0.0) <= 0
-    try:
-        factors = growth_factor(attempts), None if untimed else growth_factor(times)
-    except ValueError:
-        GrowthModel(attempts, times, 1.0, None)  # the model's rules come first
-        raise
+    GrowthModel(attempts, times, 1.0, None)  # the model's rules come first
+    untimed = all(map(math.isfinite, times)) and min(times) <= 0
+    factors = growth_factor(attempts), None if untimed else growth_factor(times)
     return GrowthModel(attempts, times, *factors)
 
 

@@ -48,6 +48,7 @@ from .model import (
     LETTERS,
     LETTERS_AND_SPACE,
     Alphabet,
+    MeasurementTable,
     ProjectionTable,
     TargetText,
     read_measurement_csv,
@@ -70,6 +71,9 @@ def _write_outputs(out_dir: str, command: str, config: dict, files: dict[str, st
     ``out`` are dropped from what the manifest records. Every file is
     encoded, and no file path checked to be a directory, before ``out_dir``
     is created, so a failing encode or a directory in the way writes nothing.
+    Each file is then staged under a hidden name in ``out_dir`` itself and
+    renamed into place only once all are written, so a write that fails
+    part-way (a full disk) leaves the files in ``out_dir`` as they were.
     """
     manifest = {
         "command": command,
@@ -86,8 +90,16 @@ def _write_outputs(out_dir: str, command: str, config: dict, files: dict[str, st
         if blocked:
             raise IsADirectoryError(f"cannot write over the directory {out / blocked[0]}")
     out.mkdir(parents=True, exist_ok=True)
-    for name, raw in encoded.items():
-        (out / name).write_bytes(raw)
+    staged = {name: out / f".{name}.{os.getpid()}.part" for name in encoded}
+    try:
+        for name, raw in encoded.items():
+            staged[name].write_bytes(raw)
+        for name, part in staged.items():
+            os.replace(part, out / name)  # one directory, so one filesystem
+    except BaseException:
+        for part in staged.values():
+            part.unlink(missing_ok=True)
+        raise
 
 
 def _paper_style(x: ScaledDecimal) -> str:
@@ -179,12 +191,12 @@ def _project(
 # -- simulate ---------------------------------------------------------------
 
 
-def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[str, list[str]]:
+def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[MeasurementTable, str, list[str]]:
     """Run the trial matrix the flags describe.
 
     ``--extend-alphabet`` draws from ``alphabet`` plus the characters of the
-    trialled prefixes it lacks. Returns the ``measurements.csv`` text
-    (elapsed zeroed under ``--no-timing``) and the line naming the
+    trialled prefixes it lacks. Returns the table, its ``measurements.csv``
+    text (elapsed zeroed under ``--no-timing``) and the line naming the
     (iteration, prefix length) cells that hit their budget, if any.
     ``config`` records the stream version.
     """
@@ -204,13 +216,13 @@ def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[str, list[str]]:
     table = run_experiment(experiment)
     incomplete = table.incomplete_cells()
     notes = [f"budget exhausted in cells: {incomplete}"] if incomplete else []
-    return table.to_csv(include_timing=not args.no_timing), notes
+    return table, table.to_csv(include_timing=not args.no_timing), notes
 
 
 def cmd_simulate(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
     config = {**vars(args), "alphabet": alphabet.symbols}
-    csv_text, notes = _simulate(config, args, alphabet)
+    _, csv_text, notes = _simulate(config, args, alphabet)
     lines = [line for line in csv_text.splitlines() if line.startswith(("test,", "average,"))]
     return config, {"measurements.csv": csv_text}, lines, *notes
 
@@ -297,18 +309,17 @@ def cmd_report(args) -> tuple:
     if args.use_paper_data:
         published = data.published_averages()
         attempts_base, times_base = published["attempts"], published["seconds"]
-        if args.no_timing:  # no seconds are projected from a zero time
-            times_base = [0.0] * len(times_base)
         summary = ["base data: published per-prefix averages (ten trials, prefixes 1..5)"]
     else:
-        files["measurements.csv"], notes = _simulate(config, args, alphabet)
-        # fit on what measurements.csv holds: zero times under --no-timing
-        _, attempts_base, times_base = read_measurement_csv(files["measurements.csv"])
+        table, files["measurements.csv"], notes = _simulate(config, args, alphabet)
+        attempts_base, times_base = table.attempts_averages, table.time_averages
         summary = [
             f"base data: fresh simulation, seed {args.seed}, "
             f"{args.iterations} iterations, prefixes 1..{args.max_prefix}",
             *notes,
         ]
+    if args.no_timing:  # both sources: no seconds are projected from a zero time
+        times_base = [0.0] * len(times_base)
 
     summary.append(f"projection target: {args.target!r} ({len(args.target)} characters)")
     projection = _project(config, files, summary, attempts_base, times_base)

@@ -93,14 +93,8 @@ MUTANTS = (
         "if len(self.attempts_base) < len(self.times_base):",
         "GrowthModel is the one owner of the equal-length rule",
     ),
-    Mutant(
-        "empty-times-min", "analysis.py",
-        "min(times, default=0.0)",
-        "min(times)",
-        "an empty times series must reach GrowthModel's length check",
-    ),
     Mutant("growth-factor-before-lengths", "analysis.py",
-           "        GrowthModel(attempts, times, 1.0, None)  # the model's rules come first\n",
+           "    GrowthModel(attempts, times, 1.0, None)  # the model's rules come first\n",
            "", "unequal base lists must fail on their lengths, not on a one-value growth factor"),
     Mutant(
         "match-start-adjustment", "simulate.py",
@@ -227,10 +221,22 @@ MUTANTS = (
            r'json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))',
            "projection.json escapes a non-ASCII target as json.dumps does"),
     Mutant(
-        "paper-data-no-timing", "cli.py",
-        "        if args.no_timing:  # no seconds are projected from a zero time\n",
-        "        if False:  # no seconds are projected from a zero time\n",
-        "report --use-paper-data --no-timing must project attempts only",
+        "report-no-timing", "cli.py",
+        "    if args.no_timing:  # both sources: no seconds are projected from a zero time\n",
+        "    if False:\n",
+        "report --no-timing, simulating or on the published data, must project attempts only",
+    ),
+    Mutant(
+        "write-straight-into-out", "cli.py",
+        'staged = {name: out / f".{name}.{os.getpid()}.part" for name in encoded}',
+        "staged = {name: out / name for name in encoded}",
+        "a write that fails part-way would leave --out other than it was",
+    ),
+    Mutant(
+        "staging-left-on-failure", "cli.py",
+        "            part.unlink(missing_ok=True)\n",
+        "            pass\n",
+        "a write that fails part-way would leave the files staged before it in --out",
     ),
 )
 

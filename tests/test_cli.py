@@ -833,6 +833,19 @@ class TestReport:
             report_bytes = (tmp_path / "report" / name).read_bytes()
             assert report_bytes == (tmp_path / "project" / name).read_bytes(), name
 
+    def test_timed_projection_is_project_on_its_measurements(self, tmp_path):
+        # the report fits its table's averages, project re-reads them from
+        # measurements.csv: repr round-trips every float, so the timed fits agree
+        flags = ["--target", "To be", "--max-prefix", "3", "--iterations", "5", "--seed", "3"]
+        assert run(["report", *flags, "--out", tmp_path / "report"]) == 0
+        code = run(["project", "--measurements", tmp_path / "report" / "measurements.csv",
+                    "--target", "To be", "--out", tmp_path / "project"])
+        assert code == 0
+        for name in ("projection.csv", "projection.json", "attempts_log10.csv",
+                     "seconds_log10.csv"):
+            report_bytes = (tmp_path / "report" / name).read_bytes()
+            assert report_bytes == (tmp_path / "project" / name).read_bytes(), name
+
     def test_extend_alphabet_reaches_the_throughput_measurement(self, tmp_path):
         # the throughput line describes the trials, which drew from "ab,"
         code = run(
@@ -932,6 +945,36 @@ class TestOutputs:
         assert sorted(p.relative_to(out_dir) for p in out_dir.rglob("*")) == [
             Path("summary.txt"), Path("summary.txt/kept")]
 
+    def test_write_failing_part_way_leaves_out_as_it_was(self, tmp_path, capsys):
+        # every file is staged before any is renamed into --out: a disk that
+        # fills on the third write once left the two files written before it
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "summary.txt").write_bytes(b"older summary\n")
+        write_bytes, writes = Path.write_bytes, []
+
+        def disk_full_on_third(path, raw):
+            writes.append(path.name)
+            if len(writes) == 3:
+                raise OSError(28, "No space left on device")
+            return write_bytes(path, raw)
+
+        with mock.patch.object(Path, "write_bytes", autospec=True,
+                               side_effect=disk_full_on_third):
+            assert run(["report", "--use-paper-data", "--out", out_dir]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert len(writes) == 3
+        assert [p.name for p in out_dir.iterdir()] == ["summary.txt"]
+        assert (out_dir / "summary.txt").read_bytes() == b"older summary\n"
+
+    @pytest.mark.parametrize("out", [".", "a/b"])
+    def test_relative_out_holds_only_the_bundle(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert run(["report", "--use-paper-data", "--out", out]) == 0
+        pin = (GOLDEN / "manifests" / "report.json").read_text()
+        written = sorted(p.name for p in (tmp_path / out).iterdir())
+        assert written == json.loads(pin)["outputs"]
+        assert read(tmp_path / out, "manifest.json") == pin
 
     @pytest.mark.parametrize(
         "argv",
