@@ -108,24 +108,6 @@ def _paper_style(x: ScaledDecimal) -> str:
     return f"{mantissa.replace('.', ',')}E{int(exponent):+03d}"
 
 
-#: Puts every row's fields and every row on a line of their own; the C
-#: encoder runs only without ``indent``.
-_ROWS_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
-
-
-def _rows_json(rows: list[dict]) -> str:
-    """``json.dumps(rows, indent=2) + "\\n"`` for a non-empty list of
-    non-empty flat dicts, in one pass of the stdlib C encoder.
-
-    The encoder writes ``[{"a": 1,\\n    "b": 2},\\n    {"a": 3, ...}]``.
-    No value is a dict, so every ``}`` outside a string closes a row, and an
-    encoded string holds no raw newline: ``},\\n    {`` occurs only between
-    two rows. Re-indenting there and at both ends gives the ``indent=2`` text.
-    """
-    inner = _ROWS_ENCODER.encode(rows)[2:-2]  # without the outer "[{" and "}]"
-    return "[\n  {\n    " + inner.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
-
-
 def _series_csv(pairs: list[tuple[int, float]], column: str) -> str:
     lines = [f"prefix_len,{column}"]
     lines += [f"{n},{repr(value)}" for n, value in pairs]
@@ -167,7 +149,7 @@ def _project(
     attempts_pairs, seconds_pairs = log10_series(table)
     rows = table.to_json_rows(fmt)
     files["projection.csv"] = table.to_csv(rows)
-    files["projection.json"] = _rows_json(rows)
+    files["projection.json"] = json.dumps(rows, indent=2) + "\n"
     files["attempts_log10.csv"] = _series_csv(attempts_pairs, "log10_attempts")
     final = table.final
     factors = f"growth factors: attempts {model.attempts_growth_factor:.3f}"

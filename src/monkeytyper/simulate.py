@@ -55,7 +55,7 @@ Blocks. The trials of prefix length ``n`` form blocks of
 Trial ``j`` (0-based) of a block is therefore the ``j + 1``-th gap of
 ``RngStream(record.seed)``, and the first trials of a block do not depend
 on how many follow, so a run's attempts matrix is the leading rows of any
-longer run's. Blocks do not depend on ``worker_count``, which only sets how
+longer run's. Blocks do not depend on ``worker_count``, which only caps how
 many blocks run at once: the matrix is the same for any worker count and
 any scheduling. A trial's elapsed time is its share of its block's wall
 time, in proportion to its attempts.
@@ -80,6 +80,7 @@ returns the one record of its one-trial block.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -312,10 +313,11 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
 
     The trials of each prefix length run in blocks of consecutive
     iterations that share one stream (see the module docstring); blocks,
-    not trials, are scheduled on ``worker_count`` threads. Blocks do not
-    depend on the worker count, and results are assembled in canonical
-    order, so the attempts matrix is identical for any ``worker_count`` and
-    any scheduling. Every prefix is validated before any trial: one with a
+    not trials, are scheduled on ``worker_count`` threads, but on no more
+    threads than there are blocks or CPUs. Blocks do not depend on the
+    worker count, and results are assembled in canonical order, so the
+    attempts matrix is identical for any ``worker_count`` and any
+    scheduling. Every prefix is validated before any trial: one with a
     character outside ``config.alphabet``, or whose candidate space exceeds
     ``2^64``, is rejected.
     """
@@ -333,10 +335,11 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
         stream = RngStream(derive_trial_seed(config.seed, first, n))
         return (stream.seed, *_run_block(*keys[n], stream, trials, config.attempt_budget))
 
-    if config.worker_count == 1:
+    workers = min(config.worker_count, len(blocks), os.cpu_count() or 1)
+    if workers == 1:
         results = list(map(run_block, blocks))
     else:
-        with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_block, blocks))
 
     # One list per prefix length and field, in iteration order.

@@ -144,6 +144,12 @@ MUTANTS = (
         "a trial's attempts include the matching candidate, and no more",
     ),
     Mutant(
+        "thread-pool-per-block-not-cpu", "simulate.py",
+        "min(config.worker_count, len(blocks), os.cpu_count() or 1)",
+        "min(config.worker_count, len(blocks))",
+        "--workers 5000 on 10,000 blocks would ask for 5,000 OS threads",
+    ),
+    Mutant(
         "batch-rule-overdraw", "simulate.py",
         "left * space,", "(left + 1) * space,",
         "a batch draws the open trials' mean need and no more",
@@ -195,8 +201,8 @@ MUTANTS = (
     ),
     Mutant(
         "rows-json-indent", "cli.py",
-        r'inner.replace("},\n    {", "\n  },\n  {\n    ")',
-        r'inner.replace("},\n    {", "\n  },\n  {\n     ")',
+        "json.dumps(rows, indent=2)",
+        "json.dumps(rows, indent=3)",
         "projection.json must equal json.dumps(rows, indent=2) byte for byte",
     ),
     Mutant(
@@ -217,8 +223,8 @@ MUTANTS = (
            'SeedSequence((seed, iteration, prefix_length, __import__("os").getpid()))',
            "--no-timing outputs are byte-identical across fresh processes"),
     Mutant("projection-json-raw-unicode", "cli.py",
-           r'json.JSONEncoder(separators=(",\n    ", ": "))',
-           r'json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))',
+           "json.dumps(rows, indent=2)",
+           "json.dumps(rows, indent=2, ensure_ascii=False)",
            "projection.json escapes a non-ASCII target as json.dumps does"),
     Mutant(
         "report-no-timing", "cli.py",

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from conftest import decode
 from monkeytyper import LETTERS_AND_SPACE, Alphabet, TargetText
@@ -26,6 +25,10 @@ from monkeytyper.simulate import (
 )
 
 AB = Alphabet("ab")
+
+#: The chi-square critical value at significance 0.001 with 52 degrees of
+#: freedom, ``scipy.stats.chi2.ppf(0.999, df=52)`` under scipy 1.17.1.
+CHI2_999_DF52 = 89.27215083430448
 
 
 def bounded_draw(seed, count, space):
@@ -60,7 +63,7 @@ class TestRngStream:
         assert len(counts) == 53
         expected = draws / 53
         statistic = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert statistic < stats.chi2.ppf(0.999, df=52)
+        assert statistic < CHI2_999_DF52
 
     def test_draws_are_partition_invariant(self):
         # the whole determinism story rests on this: how draws are batched
@@ -94,7 +97,7 @@ class TestRngStream:
             digits = codes // 53 ** (3 - position) % 53
             counts = np.bincount(digits.astype(np.int64), minlength=53)
             statistic = ((counts - expected) ** 2 / expected).sum()
-            assert statistic < stats.chi2.ppf(0.999, df=52), position
+            assert statistic < CHI2_999_DF52, position
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -570,6 +573,43 @@ class TestRunExperiment:
         assert [
             [(rec.attempts, rec.seed) for rec in row] for row in serial.trials
         ] == [[(rec.attempts, rec.seed) for rec in row] for row in threaded.trials]
+
+    @pytest.mark.parametrize(
+        "workers, cpus, pool",
+        [(2, 8, 2), (3, 8, 3), (5000, 8, 4), (5000, 3, 3), (5000, 1, None), (5000, None, None)],
+    )
+    def test_thread_pool_is_bounded_by_the_blocks_and_the_cpus(
+        self, monkeypatch, workers, cpus, pool
+    ):
+        # 800 iterations of "To" make 4 blocks (one of n = 1, three of
+        # n = 2); the stub pool records its size and maps in this thread, so
+        # no huge worker count ever starts a thread
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        config = ExperimentConfig(
+            target=TargetText("To"), alphabet=LETTERS_AND_SPACE,
+            max_prefix_length=2, iterations=800, seed=8,
+        )
+        serial = run_experiment(config)
+        assert sizes == []
+        table = run_experiment(dataclasses.replace(config, worker_count=workers))
+        assert sizes == ([] if pool is None else [pool])
+        assert (table.attempts, table.seeds) == (serial.attempts, serial.seeds)
 
     def test_blocks_are_independent_of_workers_and_of_the_iteration_count(self):
         # K_2 = 373 over 53 symbols: 800 iterations make blocks at 1, 374, 747
