@@ -515,12 +515,14 @@ class TestProject:
         assert "projection.json" in plain
         assert bom == plain
 
+    @pytest.mark.parametrize("encoder", ["c", "python"])
     @pytest.mark.parametrize("style", [[], ["--paper-style"]], ids=["plain", "paper-style"])
     @settings(max_examples=40, deadline=None)
     @given(target=HOSTILE_TARGETS)
     @example(target='<quote " backslash \\ comma, brace }, { é>')
-    def test_emitters_match_the_stdlib_reference(self, style, target):
-        # projection.json is json.dumps(rows, indent=2) and projection.csv is
+    def test_emitters_match_the_stdlib_reference(self, encoder, style, target):
+        # projection.json is json.dumps(rows, indent=2), whether or not the
+        # interpreter has the C JSON encoder, and projection.csv is
         # csv.DictWriter's rendering
         rows = build_projection_table(
             fit_growth_model(TABLE_ATTEMPTS, TABLE_TIMES), TargetText(target)
@@ -530,10 +532,13 @@ class TestProject:
         writer = csv.DictWriter(reference_csv, PROJECTION_CSV_HEADER, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        args = cli.build_parser().parse_args(
-            ["project", *TABLE_ARGS, f"--target={target}", *style]
-        )
-        _, files, _ = args.func(args)
+        assert json.encoder.c_make_encoder is not None  # else "c" tests nothing
+        c_encoder = json.encoder.c_make_encoder if encoder == "c" else None
+        with mock.patch.object(json.encoder, "c_make_encoder", c_encoder):
+            args = cli.build_parser().parse_args(
+                ["project", *TABLE_ARGS, f"--target={target}", *style]
+            )
+            _, files, _ = args.func(args)
         assert files["projection.json"] == json.dumps(rows, indent=2) + "\n"
         assert files["projection.csv"] == reference_csv.getvalue()
 
