@@ -8,18 +8,18 @@ count, line breaks included, and the whitespace-collapsed count are both
 exactly 1,520.)
 """
 
-from monkeytyper import corpus_census, hamlet_soliloquy
+from monkeytyper import census_lines, corpus_census, hamlet_soliloquy
 
 text = hamlet_soliloquy()
 print(f"bundled corpus: {len(text)} characters, {text.count(chr(10)) + 1} lines")
 print(f"opening: {text[:44]!r}")
 
-report = corpus_census(text)
+counts = corpus_census(text)
 print()
-for line in report.lines():
+for line in census_lines(counts):
     print(line)
 
 # The same operation works on any text.
 print()
-for line in corpus_census("To be, or not to be").lines():
+for line in census_lines(corpus_census("To be, or not to be")):
     print(line)

@@ -17,9 +17,9 @@ imports numpy. The package root is numpy-free: import the trial API
 """
 
 from .analysis import (
-    CensusReport,
     TimeBreakdown,
     build_projection_table,
+    census_lines,
     convert_time,
     corpus_census,
     expected_attempts,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "CensusReport",
     "GrowthModel",
     "HAMLET_PHRASE",
     "LETTERS",
@@ -59,6 +58,7 @@ __all__ = [
     "TimeBreakdown",
     "TrialRecord",
     "build_projection_table",
+    "census_lines",
     "convert_time",
     "corpus_census",
     "expected_attempts",

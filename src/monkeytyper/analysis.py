@@ -146,24 +146,7 @@ def convert_time(seconds: ScaledDecimal) -> TimeBreakdown:
     )
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """Character counts of one text under every normalization."""
-
-    counts: dict[str, int]
-
-    def lines(self) -> list[str]:
-        """One line per normalization, flagging whether it equals the published total."""
-        width = max(len(name) for name in self.counts)
-        return [
-            f"{name:<{width}}  {count:>7}  "
-            + ("matches" if count == PUBLISHED_SOLILOQUY_LENGTH else "differs from")
-            + f" {PUBLISHED_SOLILOQUY_LENGTH}"
-            for name, count in self.counts.items()
-        ]
-
-
-def corpus_census(text: str) -> CensusReport:
+def corpus_census(text: str) -> dict[str, int]:
     """Count characters under several rules rather than guessing the right one.
 
     * ``raw``: every character, line breaks included.
@@ -173,13 +156,24 @@ def corpus_census(text: str) -> CensusReport:
     * ``letters_and_space``: ASCII letters and plain spaces only.
     """
     ascii_only = text.encode("ascii", "ignore")
-    counts = {
+    return {
         "raw": len(text),
         "newlines_excluded": len(text) - text.count("\n") - text.count("\r"),
         "whitespace_collapsed": len(" ".join(text.split())),
         "letters_and_space": len(ascii_only) - len(ascii_only.translate(None, _LETTERS_AND_SPACE)),
     }
-    return CensusReport(counts=counts)
+
+
+def census_lines(counts: dict[str, int]) -> list[str]:
+    """One line per :func:`corpus_census` count, flagging whether it equals
+    the published total."""
+    width = max(len(name) for name in counts)
+    return [
+        f"{name:<{width}}  {count:>7}  "
+        + ("matches" if count == PUBLISHED_SOLILOQUY_LENGTH else "differs from")
+        + f" {PUBLISHED_SOLILOQUY_LENGTH}"
+        for name, count in counts.items()
+    ]
 
 
 def log10_series(table: ProjectionTable) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:

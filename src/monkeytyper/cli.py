@@ -33,9 +33,9 @@ from . import __version__, data
 from .analysis import (
     JULIAN_YEAR_SECONDS,
     UNIVERSE_AGE_YEARS,
-    CensusReport,
     TimeBreakdown,
     build_projection_table,
+    census_lines,
     convert_time,
     corpus_census,
     expected_attempts,
@@ -51,6 +51,7 @@ from .model import (
     MeasurementTable,
     ProjectionTable,
     TargetText,
+    csv_text,
     read_measurement_csv,
 )
 from .scaled import ScaledDecimal
@@ -108,12 +109,6 @@ def _paper_style(x: ScaledDecimal) -> str:
     return f"{mantissa.replace('.', ',')}E{int(exponent):+03d}"
 
 
-def _series_csv(pairs: list[tuple[int, float]], column: str) -> str:
-    lines = [f"prefix_len,{column}"]
-    lines += [f"{n},{repr(value)}" for n, value in pairs]
-    return "\n".join(lines) + "\n"
-
-
 def _breakdown_lines(breakdown: TimeBreakdown) -> list[str]:
     fmt = lambda x: x.to_string(SUMMARY_DIGITS)  # noqa: E731
     return [
@@ -150,7 +145,7 @@ def _project(
     rows = table.to_json_rows(fmt)
     files["projection.csv"] = table.to_csv(rows)
     files["projection.json"] = json.dumps(rows, indent=2) + "\n"
-    files["attempts_log10.csv"] = _series_csv(attempts_pairs, "log10_attempts")
+    files["attempts_log10.csv"] = csv_text(("prefix_len", "log10_attempts"), attempts_pairs)
     final = table.final
     factors = f"growth factors: attempts {model.attempts_growth_factor:.3f}"
     attempts_line = (
@@ -161,7 +156,7 @@ def _project(
         lines += [factors, attempts_line, SECONDS_OMITTED]
         config["seconds_projection"] = SECONDS_OMITTED
     else:
-        files["seconds_log10.csv"] = _series_csv(seconds_pairs, "log10_seconds")
+        files["seconds_log10.csv"] = csv_text(("prefix_len", "log10_seconds"), seconds_pairs)
         lines += [
             f"{factors}, time {model.time_growth_factor:.3f}",
             attempts_line,
@@ -204,9 +199,9 @@ def _simulate(config: dict, args, alphabet: Alphabet) -> tuple[MeasurementTable,
 def cmd_simulate(args) -> tuple:
     alphabet = _parse_alphabet(args.alphabet)
     config = {**vars(args), "alphabet": alphabet.symbols}
-    _, csv_text, notes = _simulate(config, args, alphabet)
-    lines = [line for line in csv_text.splitlines() if line.startswith(("test,", "average,"))]
-    return config, {"measurements.csv": csv_text}, lines, *notes
+    _, measurements, notes = _simulate(config, args, alphabet)
+    lines = [line for line in measurements.splitlines() if line.startswith(("test,", "average,"))]
+    return config, {"measurements.csv": measurements}, lines, *notes
 
 
 # -- project ----------------------------------------------------------------
@@ -214,8 +209,8 @@ def cmd_simulate(args) -> tuple:
 
 def cmd_project(args) -> tuple:
     if args.measurements is not None:
-        csv_text = Path(args.measurements).read_text(encoding="utf-8-sig")
-        lengths, attempts_base, times_base = read_measurement_csv(csv_text)
+        text = Path(args.measurements).read_text(encoding="utf-8-sig")
+        lengths, attempts_base, times_base = read_measurement_csv(text)
         if lengths != list(range(1, len(lengths) + 1)):
             raise ValueError(
                 f"{args.measurements}: prefix lengths must be exactly 1..k, got {lengths}"
@@ -258,8 +253,8 @@ def cmd_prob(args) -> tuple:
 # -- census -------------------------------------------------------------------
 
 
-def _census_lines(report: CensusReport, source: str) -> list[str]:
-    return [f"census of {source}:"] + ["  " + line for line in report.lines()]
+def _census_lines(counts: dict[str, int], source: str) -> list[str]:
+    return [f"census of {source}:"] + ["  " + line for line in census_lines(counts)]
 
 
 def cmd_census(args) -> tuple:

@@ -10,7 +10,7 @@ import csv
 import io
 import operator
 import string
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,6 +118,17 @@ MEASUREMENT_CSV_HEADER = (
 PROJECTION_CSV_HEADER = ("prefix_len", "text_part", "attempts", "seconds", "hours", "region")
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """``header`` and then ``rows`` as CSV, each line ended by ``\\n``: the one
+    writer of every table the package emits. Floats are written as ``repr``
+    writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class MeasurementTable:
     """A full experiment matrix (iterations x prefix lengths) plus column means.
@@ -216,23 +227,18 @@ class MeasurementTable:
         With ``include_timing=False`` every elapsed value is written as 0 so
         repeated runs are byte-identical.
         """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(MEASUREMENT_CSV_HEADER)
-        for i in range(self.iterations):
-            for j, n in enumerate(self.prefix_lengths):
-                elapsed = repr(self.elapsed_seconds[j][i]) if include_timing else "0"
-                writer.writerow(
-                    [i + 1, n, self.attempts[j][i], elapsed, self.seeds[j][i],
-                     int(self.completed[j][i])]
-                )
-        for j, n in enumerate(self.prefix_lengths):
-            elapsed = repr(self.time_averages[j]) if include_timing else "0"
-            writer.writerow(
-                ["average", n, repr(self.attempts_averages[j]), elapsed, "",
-                 sum(self.completed[j])]
-            )
-        return buf.getvalue()
+        trials = [
+            [i + 1, n, self.attempts[j][i], self.elapsed_seconds[j][i] if include_timing else 0,
+             self.seeds[j][i], int(self.completed[j][i])]
+            for i in range(self.iterations)
+            for j, n in enumerate(self.prefix_lengths)
+        ]
+        averages = [
+            ["average", n, self.attempts_averages[j],
+             self.time_averages[j] if include_timing else 0, "", sum(self.completed[j])]
+            for j, n in enumerate(self.prefix_lengths)
+        ]
+        return csv_text(MEASUREMENT_CSV_HEADER, trials + averages)
 
 
 def read_measurement_csv(text: str) -> tuple[list[int], list[float], list[float]]:
@@ -325,12 +331,8 @@ class ProjectionTable:
         """``rows``, :meth:`to_json_rows` output, as CSV under
         ``PROJECTION_CSV_HEADER``, None as an empty field: the rows are
         formatted once for both projection files."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(PROJECTION_CSV_HEADER)
         fields = operator.itemgetter(*PROJECTION_CSV_HEADER)
-        writer.writerows(map(fields, rows))
-        return buf.getvalue()
+        return csv_text(PROJECTION_CSV_HEADER, map(fields, rows))
 
     def to_json_rows(self, fmt) -> list[dict]:
         """One dict per row; ``fmt`` maps a ScaledDecimal to its printed form

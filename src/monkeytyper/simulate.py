@@ -82,7 +82,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,6 +338,7 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
     if workers == 1:
         results = list(map(run_block, blocks))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_block, blocks))
 

@@ -35,14 +35,16 @@ def run_python(cwd, *args, **env):
 
 
 def modules_loaded_after(tmp_path, commands, *flags) -> set[str]:
-    """Which of numpy, typing and importlib.resources a fresh ``python *flags``
-    process in ``tmp_path`` has loaded once ``commands`` ran through ``cli.main``."""
+    """Which of numpy, typing, importlib.resources and concurrent.futures a
+    fresh ``python *flags`` process in ``tmp_path`` has loaded once
+    ``commands`` ran through ``cli.main``."""
     script = "\n".join([
         "import sys",
         "from monkeytyper import cli",
         f"for argv in {[list(map(str, argv)) for argv in commands]!r}:",
         "    assert cli.main(argv) == 0, argv",
-        "print(*(m for m in ('importlib.resources', 'numpy', 'typing') if m in sys.modules))",
+        "modules = ('concurrent.futures', 'importlib.resources', 'numpy', 'typing')",
+        "print(*(m for m in modules if m in sys.modules))",
     ])
     return set(run_python(tmp_path, *flags, "-c", script).stdout.splitlines()[-1].split())
 

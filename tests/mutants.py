@@ -182,6 +182,16 @@ MUTANTS = (
         "criterion 9: collapsed whitespace keeps one space per run",
     ),
     Mutant(
+        "census-published-total", "analysis.py",
+        "if count == PUBLISHED_SOLILOQUY_LENGTH", "if count != PUBLISHED_SOLILOQUY_LENGTH",
+        "criterion 9: the census flags the counts that equal the published 1,520",
+    ),
+    Mutant(
+        "csv-text-crlf", "model.py",
+        'lineterminator="\\n"', 'lineterminator="\\r\\n"',
+        "every CSV the package writes ends its lines with \\n, as the golden bundles do",
+    ),
+    Mutant(
         "projection-length", "analysis.py",
         "while len(series) < length:",
         "while len(series) < length - 1:",

@@ -14,6 +14,7 @@ from monkeytyper import (
     ScaledDecimal,
     TargetText,
     build_projection_table,
+    census_lines,
     convert_time,
     corpus_census,
     expected_attempts,
@@ -344,31 +345,29 @@ class TestConvertTime:
 
 class TestCorpusCensus:
     def test_empty_text(self):
-        report = corpus_census("")
-        assert set(report.counts.values()) == {0}
+        assert set(corpus_census("").values()) == {0}
 
     def test_newline_handling(self):
-        report = corpus_census("ab\ncd")
-        assert report.counts["raw"] == 5
-        assert report.counts["newlines_excluded"] == 4
-        assert report.counts["whitespace_collapsed"] == 5
-        assert report.counts["letters_and_space"] == 4
+        counts = corpus_census("ab\ncd")
+        assert counts["raw"] == 5
+        assert counts["newlines_excluded"] == 4
+        assert counts["whitespace_collapsed"] == 5
+        assert counts["letters_and_space"] == 4
 
     def test_bundled_soliloquy_against_direct_count(self):
         text = hamlet_soliloquy()
-        report = corpus_census(text)
+        counts = corpus_census(text)
         # independent recount with different machinery
-        assert report.counts["raw"] == len(text)
-        assert report.counts["newlines_excluded"] == len(re.sub(r"[\n\r]", "", text))
-        assert report.counts["whitespace_collapsed"] == len(
+        assert counts["raw"] == len(text)
+        assert counts["newlines_excluded"] == len(re.sub(r"[\n\r]", "", text))
+        assert counts["whitespace_collapsed"] == len(
             re.sub(r"\s+", " ", text).strip()
         )
         letters = set(string.ascii_letters + " ")
-        assert report.counts["letters_and_space"] == sum(text.count(c) for c in letters)
+        assert counts["letters_and_space"] == sum(text.count(c) for c in letters)
 
     def test_bundled_soliloquy_frozen_counts(self):
-        report = corpus_census(hamlet_soliloquy())
-        assert report.counts == {
+        assert corpus_census(hamlet_soliloquy()) == {
             "raw": 1520,
             "newlines_excluded": 1486,
             "whitespace_collapsed": 1520,
@@ -376,9 +375,17 @@ class TestCorpusCensus:
         }
 
     def test_report_lines_mention_every_normalization(self):
-        lines = corpus_census("abc").lines()
+        lines = census_lines(corpus_census("abc"))
         assert len(lines) == 4
         assert any("raw" in line for line in lines)
+
+    def test_lines_flag_the_counts_equal_to_the_published_total(self):
+        assert census_lines(corpus_census(hamlet_soliloquy())) == [
+            "raw                      1520  matches 1520",
+            "newlines_excluded        1486  differs from 1520",
+            "whitespace_collapsed     1520  matches 1520",
+            "letters_and_space        1430  differs from 1520",
+        ]
 
     @given(
         text=st.text(
@@ -399,10 +406,10 @@ class TestCorpusCensus:
                 1 for c in text if (c.isascii() and c.isalpha()) or c == " "
             ),
         }
-        assert corpus_census(text).counts == oracle
+        assert corpus_census(text) == oracle
 
     @given(text=st.text(alphabet=st.characters(max_codepoint=0x2FF), max_size=400))
     @settings(max_examples=80)
     def test_raw_bounds_every_normalization(self, text):
-        report = corpus_census(text)
-        assert all(report.counts["raw"] >= count for count in report.counts.values())
+        counts = corpus_census(text)
+        assert all(counts["raw"] >= count for count in counts.values())

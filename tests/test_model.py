@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ATTEMPTS_BASE, PHRASE, decode
+from conftest import ATTEMPTS_BASE, PHRASE, TIMES_BASE, decode
 from monkeytyper import (
     LETTERS,
     LETTERS_AND_SPACE,
@@ -16,7 +16,7 @@ from monkeytyper import (
     TrialRecord,
     data,
 )
-from monkeytyper.model import ProjectionRow, ProjectionTable, read_measurement_csv
+from monkeytyper.model import ProjectionRow, ProjectionTable, csv_text, read_measurement_csv
 
 
 class TestAlphabet:
@@ -258,6 +258,13 @@ class TestMeasurementTable:
         # the published average row displays 0.000 s for prefix 1
         assert times[0] == 0.0 and times[4] == 1097.5
 
+    def test_bundled_published_averages(self):
+        # published_averages.json repeats the phrase and the base series the
+        # constants and the test fixtures name; nothing else ties them together
+        assert data.published_averages() == {
+            "attempts": ATTEMPTS_BASE, "seconds": TIMES_BASE, "target": data.HAMLET_PHRASE,
+        }
+
     def test_incomplete_cells(self):
         table = _table(
             [[3, 3, 4], [10, 7, 8]],
@@ -312,3 +319,10 @@ class TestProjectionTable:
         payload = table.to_json_rows(str)
         assert payload[0]["attempts"] == "6.000e1"
         assert payload[0]["region"] == "measured"
+
+
+class TestCsvText:
+    def test_header_first_newline_ends_and_repr_floats(self):
+        values = [0.1 + 0.2, 1e-300, 2.5e69, -0.0, float("inf")]
+        text = csv_text(("n", "value"), enumerate(values))
+        assert text == "n,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values))

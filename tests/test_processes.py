@@ -30,6 +30,13 @@ def test_trial_free_commands_load_no_numpy_typing_or_resources(tmp_path):
     assert modules_loaded_after(tmp_path, commands, "-S") == set()
 
 
+def test_a_serial_simulation_loads_no_thread_pool(tmp_path):
+    # without -S: numpy lives in site-packages
+    command = ["simulate", "--target", "ab", "--alphabet", "ab", "--max-prefix", "2",
+               "--iterations", "3", "--no-timing"]
+    assert "concurrent.futures" not in modules_loaded_after(tmp_path, [command])
+
+
 def test_no_timing_outputs_are_byte_stable_across_processes(tmp_path):
     # two fresh processes: nothing one interpreter caches can hide a difference
     script = "\n".join([

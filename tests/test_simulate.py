@@ -599,7 +599,7 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
         config = ExperimentConfig(
             target=TargetText("To"), alphabet=LETTERS_AND_SPACE,
