@@ -16,8 +16,7 @@ from monkeytyper import (
     published_averages,
 )
 
-published = published_averages()
-model = fit_growth_model(published["attempts"], published["seconds"])
+model = fit_growth_model(*published_averages())
 print(f"measured attempts averages: {model.attempts_base}")
 print(f"attempts growth factor: {model.attempts_growth_factor:.5f}")
 print(f"time growth factor:     {model.time_growth_factor:.5f}")

@@ -30,8 +30,7 @@ trials = run_experiment(config)
 rate = trials.attempts_averages[-1] / trials.time_averages[-1]
 print(f"this machine generates about {rate:,.0f} length-4 candidates per second")
 
-published = published_averages()
-model = fit_growth_model(published["attempts"], published["seconds"])
+model = fit_growth_model(*published_averages())
 table = build_projection_table(model, TargetText(HAMLET_PHRASE))
 
 print(f"\n{'n':>3} {'projected attempts':>20} {'implied seconds':>16}")

@@ -284,8 +284,7 @@ def cmd_report(args) -> tuple:
     ]
 
     if args.use_paper_data:
-        published = data.published_averages()
-        attempts_base, times_base = published["attempts"], published["seconds"]
+        attempts_base, times_base = data.published_averages()
         summary = ["base data: published per-prefix averages (ten trials, prefixes 1..5)"]
     else:
         table, files["measurements.csv"], notes = _simulate(config, args, alphabet)

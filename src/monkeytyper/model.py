@@ -83,6 +83,12 @@ class TargetText:
 #: effectively forever while still being far above any measured mean here.
 DEFAULT_ATTEMPT_BUDGET = 10**10
 
+#: Error text for a prefix length none of whose trials completed: no column mean.
+NO_COMPLETED_TRIAL = (
+    "no trial of prefix length {} completed within its attempt budget, "
+    "so its mean attempts cannot be estimated"
+)
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -183,10 +189,7 @@ class MeasurementTable:
         counts = [sum(column) for column in completed]
         for n, count in zip(prefix_lengths, counts):
             if count == 0:
-                raise ValueError(
-                    f"no trial of prefix length {n} completed within its attempt "
-                    f"budget, so its mean attempts cannot be estimated"
-                )
+                raise ValueError(NO_COMPLETED_TRIAL.format(n))
         attempts_avg = tuple(sum(column) / count for column, count in zip(attempts, counts))
         time_avg = tuple(sum(column) / count for column, count in zip(elapsed_seconds, counts))
         return cls(

@@ -87,7 +87,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    DEFAULT_ATTEMPT_BUDGET, Alphabet, MeasurementTable, TargetText, TrialRecord
+    DEFAULT_ATTEMPT_BUDGET, NO_COMPLETED_TRIAL, Alphabet, MeasurementTable, TargetText, TrialRecord
 )
 
 # Raw 64-bit words per batch at most, as many candidates as they hold lanes;
@@ -318,7 +318,8 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
     attempts matrix is identical for any ``worker_count`` and any
     scheduling. Every prefix is validated before any trial: one with a
     character outside ``config.alphabet``, or whose candidate space exceeds
-    ``2^64``, is rejected.
+    ``2^64``, is rejected. A column with no completed trial fails the run as
+    soon as its last block returns; a pool cancels the blocks not yet started.
     """
     prefix_lengths = range(1, config.max_prefix_length + 1)
     keys = {n: _prefix_key(config.target, n, config.alphabet) for n in prefix_lengths}
@@ -335,20 +336,25 @@ def run_experiment(config: ExperimentConfig) -> MeasurementTable:
         return (stream.seed, *_run_block(*keys[n], stream, trials, config.attempt_budget))
 
     workers = min(config.worker_count, len(blocks), os.cpu_count() or 1)
-    if workers == 1:
-        results = list(map(run_block, blocks))
-    else:
+    pool = None
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))
+        pool = ThreadPoolExecutor(max_workers=workers)
 
     # One list per prefix length and field, in iteration order.
     columns = {n: ([], [], [], []) for n in prefix_lengths}
-    for (n, _, _), (seed, attempts, completed, seconds) in zip(blocks, results):
-        column_attempts, column_elapsed, column_seeds, column_completed = columns[n]
-        total = sum(attempts)
-        column_attempts += attempts
-        column_elapsed += [seconds * a / total for a in attempts]
-        column_seeds += [seed] * len(attempts)
-        column_completed += completed
+    try:
+        results = (pool.map if pool else map)(run_block, blocks)  # yields in block order
+        for (n, first, trials), (seed, attempts, completed, seconds) in zip(blocks, results):
+            column_attempts, column_elapsed, column_seeds, column_completed = columns[n]
+            total = sum(attempts)
+            column_attempts += attempts
+            column_elapsed += [seconds * a / total for a in attempts]
+            column_seeds += [seed] * len(attempts)
+            column_completed += completed
+            if first + trials > config.iterations and not any(column_completed):
+                raise ValueError(NO_COMPLETED_TRIAL.format(n))
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return MeasurementTable.from_trials(prefix_lengths, *zip(*columns.values()))

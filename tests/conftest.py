@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
 # Published per-prefix averages (ten trials each) that drive the projection
-# pipeline; identical to the bundled published_averages.json fixture.
+# pipeline: the average rows of the bundled published_trials.csv, with the
+# 0.0001 s stand-in for the 0.000 s it prints at prefix 1.
 ATTEMPTS_BASE = [60, 3101, 159174, 8096722, 345380940]
 TIMES_BASE = [0.0001, 0.006, 0.36, 22.355, 1097.5]
 

@@ -254,6 +254,18 @@ MUTANTS = (
         "            pass\n",
         "a write that fails part-way would leave the files staged before it in --out",
     ),
+    Mutant(
+        "empty-column-runs-on", "simulate.py",
+        "            if first + trials > config.iterations and not any(column_completed):\n",
+        "            if False:\n",
+        "a column with no completed trial would fail the run only after every longer column ran",
+    ),
+    Mutant(
+        "published-trial-row", "data/published_trials.csv",
+        "4,4,3679657,10.124\n",
+        "4,4,3679657,10.123\n",
+        "each average row of the published matrix is the mean of its ten trial rows",
+    ),
 )
 
 EQUIVALENT = (

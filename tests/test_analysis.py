@@ -224,7 +224,10 @@ class TestBuildProjectionTable:
         return fit_growth_model(ATTEMPTS_BASE, TIMES_BASE)
 
     def test_no_extrapolation_when_target_equals_base(self):
-        table = build_projection_table(self.model(), TargetText("To be"))
+        model = self.model()
+        # the model holds float bases though ATTEMPTS_BASE holds ints
+        assert repr(model.attempts_base) == repr(tuple(map(float, ATTEMPTS_BASE)))
+        table = build_projection_table(model, TargetText("To be"))
         assert len(table.rows) == 5
         assert all(row.region == "measured" for row in table.rows)
         assert [row.text_part for row in table.rows] == ["T", "To", "To ", "To b", "To be"]

@@ -1,3 +1,5 @@
+import csv
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
@@ -259,11 +261,24 @@ class TestMeasurementTable:
         assert times[0] == 0.0 and times[4] == 1097.5
 
     def test_bundled_published_averages(self):
-        # published_averages.json repeats the phrase and the base series the
-        # constants and the test fixtures name; nothing else ties them together
-        assert data.published_averages() == {
-            "attempts": ATTEMPTS_BASE, "seconds": TIMES_BASE, "target": data.HAMLET_PHRASE,
-        }
+        # the matrix's average rows, with the 0.0001 s prefix-1 stand-in for
+        # the 0.000 s it prints: the base series the test fixtures name
+        assert data.published_averages() == (ATTEMPTS_BASE, TIMES_BASE)
+
+    def test_bundled_average_rows_are_the_trial_means(self):
+        # each average row is its ten trials' mean rounded half up, attempts
+        # to a whole number and seconds to 3 decimals: the prefix-4 mean time
+        # 22.3545 prints as 22.355, where half-even would give 22.354
+        path = Path(data.__file__).with_name("published_trials.csv")
+        rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+        averages = {row["prefix_len"]: row for row in rows if row["test"] == "average"}
+        assert list(averages) == ["1", "2", "3", "4", "5"]
+        for n, average in averages.items():
+            trials = [row for row in rows if row["prefix_len"] == n and row["test"] != "average"]
+            assert [row["test"] for row in trials] == [str(i) for i in range(1, 11)]
+            for field, places in (("attempts", "1"), ("elapsed_seconds", "0.001")):
+                mean = sum(Decimal(row[field]) for row in trials) / len(trials)
+                assert str(mean.quantize(Decimal(places), ROUND_HALF_UP)) == average[field]
 
     def test_incomplete_cells(self):
         table = _table(

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import statistics
+import time
 from collections import Counter
 
 import numpy as np
@@ -194,23 +195,27 @@ class TestRunPrefixTrial:
 
 def decode_then_compare_trial(target, n, alphabet, seed, budget):
     """Reference trial: decode every candidate of one ``bounded_draw`` of
-    ``seed`` into its n big-endian base-A digits in plain Python and compare
-    the string with the prefix. The kernel must agree with it draw for draw.
-    A draw too short to end the trial is made again from the stream's
-    start, four times as long."""
+    ``seed`` into its n big-endian base-A digits, by n numpy ``divmod``
+    passes over the whole draw, and compare each decoded string with the
+    prefix. The kernel must agree with it draw for draw. A draw too short to
+    end the trial is made again from the stream's start, four times as
+    long."""
     prefix = target.text[:n]
     size = alphabet.size
+    symbols = np.array(list(alphabet.symbols))
     length = 4 * size**n + 64
     while True:
         if budget is not None:
             length = min(length, budget)
-        for row, value in enumerate(bounded_draw(seed, length, size**n).tolist()):
-            digits = []
-            for _ in range(n):
-                value, digit = divmod(value, size)
-                digits.append(digit)
-            if decode(alphabet, reversed(digits)) == prefix:
-                return row + 1, True, seed
+        values = bounded_draw(seed, length, size**n)
+        digits = np.empty((length, n), dtype=np.uint8)
+        for k in reversed(range(n)):  # least significant first, into the last column
+            values, digits[:, k] = np.divmod(values, size)
+        # each row's n one-character strings, read as one n-character string
+        decoded = symbols[digits].view(f"<U{n}")[:, 0]
+        hits = np.flatnonzero(decoded == prefix)
+        if hits.size:
+            return int(hits[0]) + 1, True, seed
         if length == budget:
             return budget, False, seed
         length *= 4
@@ -590,14 +595,11 @@ class TestRunExperiment:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, items):
                 return map(fn, items)
+
+            def shutdown(self, cancel_futures=False):
+                pass
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
@@ -610,6 +612,29 @@ class TestRunExperiment:
         table = run_experiment(dataclasses.replace(config, worker_count=workers))
         assert sizes == ([] if pool is None else [pool])
         assert (table.attempts, table.seeds) == (serial.attempts, serial.seeds)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_empty_column_fails_before_a_longer_column_runs(self, monkeypatch, workers):
+        # at budget 1 and seed 1 none of the ten prefix-1 trials draws 'T';
+        # the 13 blocks of columns 2..4 must not run once column 1 is known
+        # to be empty, though a pool may have started one per worker by then
+        spaces, run_block = [], simulate._run_block
+
+        def spy(key, space, rng, trials, budget):
+            spaces.append(space)
+            if space > 53:
+                time.sleep(0.1)  # holds the pool's threads while the run fails
+            return run_block(key, space, rng, trials, budget)
+
+        monkeypatch.setattr(simulate, "_run_block", spy)
+        config = ExperimentConfig(
+            target=TargetText("To be"), alphabet=LETTERS_AND_SPACE, max_prefix_length=4,
+            iterations=10, seed=1, attempt_budget=1, worker_count=workers,
+        )
+        with pytest.raises(ValueError, match="no trial of prefix length 1 completed"):
+            run_experiment(config)
+        assert spaces.count(53) == 1
+        assert len(spaces) - 1 <= (0 if workers == 1 else workers)
 
     def test_blocks_are_independent_of_workers_and_of_the_iteration_count(self):
         # K_2 = 373 over 53 symbols: 800 iterations make blocks at 1, 374, 747
