@@ -1,8 +1,8 @@
 """Base-10 arithmetic for magnitudes far outside float range, on stdlib decimal.
 
 A :class:`ScaledDecimal` wraps one positive :class:`~decimal.Decimal`.
-Every operation runs in one module-level context: 36 significant digits and
-the widest exponent range the :mod:`decimal` module allows, so the decimal
+Every result is rounded into one module-level context: 36 significant digits
+and the widest exponent range the :mod:`decimal` module allows, so the decimal
 exponent stays an exact integer from success probabilities near 10^-2609 up
 to attempt projections near 10^69, without the silent exponent saturation a
 float would suffer. ``mantissa`` (in ``[1, 10)``) and ``exponent`` read a
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
 #: Working precision in significant decimal digits. The published tables carry
 #: 3-4 significant figures; 36 digits makes our own rounding error irrelevant.
@@ -34,6 +34,7 @@ PRECISION = 36
 
 _CTX = Context(prec=PRECISION, Emin=MIN_EMIN, Emax=MAX_EMAX)
 _GUARDED = Context(prec=PRECISION + 8, Emin=MIN_EMIN, Emax=MAX_EMAX)  # eight guard digits
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])  # exact or raises
 
 
 @dataclass(frozen=True, order=True)
@@ -129,16 +130,12 @@ def scaled_int_pow(base: int, exp: int) -> ScaledDecimal:
     """``base ** exp`` for integer ``base >= 1`` and any integer ``exp``; exponent exact.
 
     One decimal ``power``, rounded once, half-even, into the working
-    precision. For ``exp >= 0`` the power is exact: its precision bounds the
-    digit count and ``Inexact`` and ``Rounded`` trap, so a precision too
-    short raises instead of rounding. For ``exp < 0`` it rounds from eight
+    precision. For ``exp >= 0`` the power is exact, in one context of the
+    widest precision whose traps make a rounding raise; its time and memory
+    grow about linearly with its digits. For ``exp < 0`` it rounds from eight
     guard digits: correctly rounded at base 2..59, exp -1..-399, -1520, -4000.
     """
     if base < 1:
         raise ValueError(f"base must be >= 1, got {base}")
-    # base**exp, exp >= 0, has floor(exp * log10(base)) + 1 digits; one more
-    # digit absorbs the float error of the log.
-    ctx = _GUARDED if exp < 0 else Context(
-        prec=int(exp * math.log10(base)) + 2, Emax=MAX_EMAX, traps=[Inexact, Rounded]
-    )
+    ctx = _GUARDED if exp < 0 else _EXACT
     return ScaledDecimal(_CTX.plus(ctx.power(Decimal(base), exp)))

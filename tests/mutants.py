@@ -50,6 +50,11 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
+        "exact-context-too-short", "scaled.py",
+        "Context(prec=MAX_PREC", "Context(prec=40",
+        "expected_attempts(52, 41) has 71 digits: a context of 40 would raise Inexact",
+    ),
+    Mutant(
         "expected-attempts-guard", "analysis.py",
         '"""Mean geometric waiting time A^n, from the exact power rounded once."""\n'
         "    if alphabet_size < 1 or n < 1:",

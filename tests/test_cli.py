@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN, ROOT, modules_loaded_after, process_env
+from conftest import GOLDEN, ROOT, process_env
 from monkeytyper import (
     Alphabet,
     ProjectionTable,
@@ -999,16 +999,6 @@ class TestOutputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "x"
-
-
-class TestNumpyBoundary:
-    """Only the trials draw random numbers, so only they load numpy."""
-
-    def test_simulate_loads_numpy(self, tmp_path):
-        # the probe that finds numpy absent after the trial-free commands
-        # (tests/test_processes.py) sees it once a command runs trials
-        simulate = [*MANIFEST_PINS["simulate"], "--out", "simulate"]
-        assert "numpy" in modules_loaded_after(tmp_path, [simulate])
 
 
 class TestParserReuse:

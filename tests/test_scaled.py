@@ -177,12 +177,6 @@ class TestIntPowMatchesIntegerPower:
         expected = reciprocal_reference(52, 1520)
         assert probability.value.as_tuple() == expected.value.as_tuple()
 
-    def test_short_precision_raises_instead_of_rounding(self, monkeypatch):
-        # a digit-count bound of 2 cannot hold 52^5 = 380,204,032
-        monkeypatch.setattr(math, "log10", lambda _: 0.0)
-        with pytest.raises(Inexact):
-            scaled_int_pow(52, 5)
-
 
 class TestRepresentation:
     def test_negative_inputs_rejected(self):
