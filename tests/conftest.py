@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from monkeytyper import Alphabet, ScaledDecimal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +50,16 @@ def modules_loaded_after(tmp_path, commands, *flags) -> set[str]:
         "print(*(m for m in modules if m in sys.modules))",
     ])
     return set(run_python(tmp_path, *flags, "-c", script).stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="session")
+def serial_simulation_modules(tmp_path_factory) -> set[str]:
+    """What ``modules_loaded_after`` reports for one small serial ``simulate``,
+    run once per session in a fresh ``python`` (without -S: numpy lives in
+    site-packages) and shared by the tests that probe it."""
+    command = ["simulate", "--target", "ab", "--alphabet", "ab", "--max-prefix", "2",
+               "--iterations", "3", "--no-timing"]
+    return modules_loaded_after(tmp_path_factory.mktemp("serial-simulate"), [command])
 
 
 def decode(alphabet: Alphabet, codes) -> str:

@@ -1001,6 +1001,15 @@ class TestOutputs:
         assert blocker.read_text() == "x"
 
 
+class TestNumpyBoundary:
+    """Only the trials draw random numbers, so only they load numpy."""
+
+    def test_simulate_loads_numpy(self, serial_simulation_modules):
+        # the probe that finds numpy absent after the trial-free commands
+        # (tests/test_processes.py) sees it once a command runs trials
+        assert "numpy" in serial_simulation_modules
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()

@@ -30,13 +30,9 @@ def test_trial_free_commands_load_no_numpy_typing_or_resources(tmp_path):
     assert modules_loaded_after(tmp_path, commands, "-S") == set()
 
 
-def test_a_serial_simulation_loads_numpy_and_no_thread_pool(tmp_path):
-    # only the trials load numpy; without -S, since numpy lives in site-packages
-    command = ["simulate", "--target", "ab", "--alphabet", "ab", "--max-prefix", "2",
-               "--iterations", "3", "--no-timing"]
-    loaded = modules_loaded_after(tmp_path, [command])
-    assert "numpy" in loaded
-    assert "concurrent.futures" not in loaded
+def test_a_serial_simulation_loads_no_thread_pool(serial_simulation_modules):
+    # the same fresh process shows numpy loaded (tests/test_cli.py::TestNumpyBoundary)
+    assert "concurrent.futures" not in serial_simulation_modules
 
 
 def test_no_timing_outputs_are_byte_stable_across_processes(tmp_path):
